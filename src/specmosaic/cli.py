@@ -20,23 +20,30 @@ from pathlib import Path
 
 import numpy as np
 
-from ._threads import parallel_map
+from ._threads import map_records
 from ._version import TOOL_VERSION
 from .core import DegenerateInputError, FormatError, SpecmosaicError, SpectralCube
-from .dataset import MANIFEST_NAME, filter_hard, make_pseudo_pairs, patchify, read_manifest
+from .dataset import (
+    MANIFEST_NAME,
+    filter_hard,
+    load_record,
+    make_pseudo_pairs,
+    patchify,
+    read_manifest,
+)
 from .demosaic import wb_bilinear
 from .fileio import (
     _atomic_write_bytes,
+    cube_stem,
     load_pattern_spec,
     read_cube,
     read_mosaic,
-    read_sidecar,
     write_cube,
     write_fvmap,
     write_mosaic,
 )
 from .freqsel import FreqParams, SelectionParams, frequency_variation_map
-from .metrics import psnr, report_from_triples, sam, ssim
+from .metrics import report_from_triples, score_pair
 from .sfa import mosaic as sfa_mosaic
 
 __all__ = ["cli_dispatch", "main"]
@@ -126,24 +133,11 @@ def _cmd_fvmap(args: argparse.Namespace) -> int:
 
 
 def _metric_pairs_from_manifest(path: Path, clamp: bool):
-    records = read_manifest(path)
-    base = path.parent
+    def job(rec):
+        ref, mosaic_img, pattern = load_record(path.parent, rec)
+        return score_pair(_clamped(wb_bilinear(mosaic_img, pattern), clamp), ref)
 
-    def job(item):
-        i, rec = item
-        try:
-            ref = read_cube(base / rec.cube)
-            side = read_sidecar(base / rec.cube)
-            if side.pattern is None:
-                raise FormatError(f"cube sidecar for {rec.cube} carries no pattern")
-            recon = wb_bilinear(read_mosaic(base / rec.mosaic), side.pattern)
-            return _triple(recon, ref, clamp)
-        except SpecmosaicError as e:
-            raise type(e)(f"record {i}: {e}") from e
-        except OSError as e:
-            raise FormatError(f"record {i}: {e}") from e
-
-    return parallel_map(job, list(enumerate(records)))
+    return map_records(job, read_manifest(path))
 
 
 def _metric_pairs_from_list(path: Path, clamp: bool):
@@ -154,26 +148,19 @@ def _metric_pairs_from_list(path: Path, clamp: bool):
     ]
 
     def job(item):
-        i, (n, line) = item
+        n, line = item
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(
-                f"record {i} ({path} line {n + 1}): expected '<recon> <ref>', got {line!r}"
+                f"{path} line {n + 1}: expected '<recon> <ref>', got {line!r}"
             )
-        try:
-            return _triple(read_cube(parts[0]), read_cube(parts[1]), clamp)
-        except SpecmosaicError as e:
-            raise type(e)(f"record {i}: {e}") from e
-        except OSError as e:
-            raise FormatError(f"record {i}: {e}") from e
+        return score_pair(_clamped(read_cube(parts[0]), clamp), read_cube(parts[1]))
 
-    return parallel_map(job, list(enumerate(lines)))
+    return map_records(job, lines)
 
 
-def _triple(recon: SpectralCube, ref: SpectralCube, clamp: bool):
-    if clamp:
-        recon = SpectralCube(np.clip(recon.data, 0.0, 1.0))
-    return psnr(recon, ref, 1.0), ssim(recon, ref), sam(recon, ref)
+def _clamped(recon: SpectralCube, clamp: bool) -> SpectralCube:
+    return SpectralCube(np.clip(recon.data, 0.0, 1.0)) if clamp else recon
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -208,7 +195,7 @@ def _cmd_patchify(args: argparse.Namespace) -> int:
     stride = args.stride if args.stride is not None else args.patch[0]
     pieces = patchify(cube, args.patch[0], args.patch[1], stride, pattern.period)
     out = Path(args.output)
-    stem = Path(args.cube).name.removesuffix(".bsq").removesuffix(".json")
+    stem = cube_stem(args.cube).name
     for origin, piece in pieces:
         name = f"{stem}_r{origin.row:05d}_c{origin.col:05d}"
         write_cube(piece, out / name, pattern=pattern)

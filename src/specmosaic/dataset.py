@@ -10,7 +10,7 @@ relative to the manifest's own directory, one record per line:
     {"mosaic": str, "cube": str, "source": str, "origin": [row, col],
      "aug": str, "hard": bool|null, "count": int|null}
 
-``filter_hard`` then scores each record's (label, comparison reconstruction)
+``filter_hard`` then scores each record's (label, bilinear reconstruction)
 pair with the frequency-domain detector and keeps only the hard ones,
 yielding a subsequence of the input manifest.
 
@@ -30,11 +30,12 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ._threads import parallel_map
+from ._threads import map_records, parallel_map
 from ._version import TOOL_VERSION
 from .core import (
+    D4_OPS,
     AlignmentError,
     BoundsError,
     FormatError,
@@ -42,7 +43,6 @@ from .core import (
     PatchOrigin,
     SfaPattern,
     ShapeError,
-    SpecmosaicError,
     SpectralCube,
     crop_aligned,
     transform_d4,
@@ -52,10 +52,10 @@ from .fileio import (
     cube_stem,
     read_cube,
     read_mosaic,
-    read_sidecar,
     write_cube,
     write_mosaic,
     _atomic_write_bytes,
+    _read_cube_with_sidecar,
 )
 from .freqsel import (
     FreqParams,
@@ -72,6 +72,7 @@ __all__ = [
     "augment_cube",
     "make_pseudo_pairs",
     "filter_hard",
+    "load_record",
     "read_manifest",
     "write_manifest",
     "MANIFEST_NAME",
@@ -80,16 +81,7 @@ __all__ = [
 MANIFEST_NAME = "manifest.jsonl"
 
 #: Square-symmetry variants emitted by augment_cube, in emission order.
-AUGMENT_OPS = (
-    "identity",
-    "rot90cw",
-    "rot180",
-    "rot270cw",
-    "flip_h",
-    "flip_v",
-    "transpose",
-    "anti_transpose",
-)
+AUGMENT_OPS = D4_OPS
 #: The shape-preserving subset used for non-square inputs.
 AUGMENT_OPS_NONSQUARE = ("identity", "rot180", "flip_h", "flip_v")
 
@@ -287,18 +279,15 @@ def make_pseudo_pairs(
     return records
 
 
-ComparisonPolicy = Callable[
-    [SpectralCube, MosaicImage, SfaPattern], tuple[SpectralCube, SpectralCube]
-]
-
-
-def _wb_policy(
-    cube: SpectralCube, mosaic_img: MosaicImage, pattern: SfaPattern
-) -> tuple[SpectralCube, SpectralCube]:
-    """Default comparison: the label cube against the bilinear reconstruction
-    of its own mosaic — disparities localize exactly where interpolation
-    struggles."""
-    return cube, wb_bilinear(mosaic_img, pattern)
+def load_record(
+    base: str | Path, rec: PairRecord
+) -> tuple[SpectralCube, MosaicImage, SfaPattern]:
+    """Read one manifest record's label cube and mosaic, with paths relative
+    to ``base``; the pattern comes from the cube's sidecar."""
+    cube, side = _read_cube_with_sidecar(Path(base) / rec.cube)
+    if side.pattern is None:
+        raise FormatError(f"cube sidecar for {rec.cube} carries no pattern")
+    return cube, read_mosaic(Path(base) / rec.mosaic), side.pattern
 
 
 def filter_hard(
@@ -307,43 +296,30 @@ def filter_hard(
     sparams: SelectionParams | None = None,
     *,
     out_path: str | Path,
-    policy: ComparisonPolicy | None = None,
 ) -> list[PairRecord]:
     """Keep only the hard records of a manifest.
 
-    Every record is scored with the frequency-variation detector on the pair
-    produced by ``policy`` (default: label cube vs. the bilinear
-    reconstruction of its mosaic; the pattern comes from the cube's sidecar).
-    The filtered manifest — a subsequence of the input, with ``hard`` and
-    ``count`` filled in and paths rebased onto its own directory — is written
-    to ``out_path``, and a full per-record verdict sidecar to
-    ``out_path + ".verdicts.json"``. Returns the surviving records.
+    Every record is scored with the frequency-variation detector on its label
+    cube against the bilinear reconstruction of its mosaic (see
+    :func:`load_record`). The filtered manifest — a subsequence of the input,
+    with ``hard`` and ``count`` filled in and paths rebased onto its own
+    directory — is written to ``out_path``, and a full per-record verdict
+    sidecar to ``out_path + ".verdicts.json"``. Returns the surviving records.
     """
     fparams = fparams or FreqParams()
     sparams = sparams or SelectionParams()
-    policy = policy or _wb_policy
     manifest_path = Path(manifest_path)
     records = read_manifest(manifest_path)
     base = manifest_path.parent
     out_path = Path(out_path)
     out_dir = out_path.parent
 
-    def job(item: tuple[int, PairRecord]) -> PatchVerdict:
-        i, rec = item
-        try:
-            cube = read_cube(base / rec.cube)
-            side = read_sidecar(base / rec.cube)
-            if side.pattern is None:
-                raise FormatError(f"cube sidecar for {rec.cube} carries no pattern")
-            mosaic_img = read_mosaic(base / rec.mosaic)
-            ref, cmp = policy(cube, mosaic_img, side.pattern)
-            return classify_patch(frequency_variation_map(ref, cmp, fparams), sparams)
-        except SpecmosaicError as e:
-            raise type(e)(f"record {i}: {e}") from e
-        except OSError as e:
-            raise FormatError(f"record {i}: {e}") from e
+    def job(rec: PairRecord) -> PatchVerdict:
+        cube, mosaic_img, pattern = load_record(base, rec)
+        fv = frequency_variation_map(cube, wb_bilinear(mosaic_img, pattern), fparams)
+        return classify_patch(fv, sparams)
 
-    verdicts = parallel_map(job, list(enumerate(records)))
+    verdicts = map_records(job, records)
 
     def rebase(rel: str) -> str:
         return os.path.relpath(base / rel, out_dir)

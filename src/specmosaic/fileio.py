@@ -183,6 +183,11 @@ def read_cube(path: str | Path) -> SpectralCube:
     Non-finite samples in the payload are rejected — files are the trust
     boundary, and every downstream kernel assumes finite data.
     """
+    return _read_cube_with_sidecar(path)[0]
+
+
+def _read_cube_with_sidecar(path: str | Path) -> tuple[SpectralCube, CubeSidecar]:
+    """:func:`read_cube` that also returns the sidecar it parsed."""
     stem = cube_stem(path)
     side = read_sidecar(stem)
     payload_path = stem.with_suffix(PAYLOAD_SUFFIX)
@@ -201,7 +206,7 @@ def read_cube(path: str | Path) -> SpectralCube:
     fatal = [v for v in validate_cube(cube) if v.fatal]
     if fatal:
         raise ValidationError(f"{payload_path}: {fatal[0]}")
-    return cube
+    return cube, side
 
 
 def write_mosaic(

@@ -24,12 +24,12 @@ independent of worker scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from ._threads import parallel_map
-from .core import ShapeError, SpecmosaicError, SpectralCube
+from ._threads import map_records
+from .core import ShapeError, SpectralCube
 
 __all__ = [
     "FreqParams",
@@ -243,18 +243,11 @@ def select_hard(
     """
     fparams = fparams or FreqParams()
     sparams = sparams or SelectionParams()
-    seq: Sequence[tuple[SpectralCube, SpectralCube]] = (
-        pairs if isinstance(pairs, Sequence) else list(pairs)
-    )
 
-    def job(item: tuple[int, tuple[SpectralCube, SpectralCube]]) -> PatchVerdict:
-        i, (ref, cmp) = item
-        try:
-            return classify_patch(frequency_variation_map(ref, cmp, fparams), sparams)
-        except SpecmosaicError as e:
-            raise type(e)(f"pair {i}: {e}") from e
+    def job(pair: tuple[SpectralCube, SpectralCube]) -> PatchVerdict:
+        return classify_patch(frequency_variation_map(*pair, fparams), sparams)
 
-    verdicts = tuple(parallel_map(job, list(enumerate(seq))))
+    verdicts = tuple(map_records(job, pairs, what="pair"))
     hard = tuple(i for i, v in enumerate(verdicts) if v.is_hard)
     return SelectionReport(verdicts=verdicts, hard_indices=hard)
 

@@ -15,13 +15,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._threads import map_records
 from ._version import TOOL_VERSION
-from .core import DegenerateInputError, ShapeError, SpecmosaicError, SpectralCube
+from .core import DegenerateInputError, ShapeError, SpectralCube
+from .freqsel import _gauss_kernel
 
 __all__ = [
     "psnr",
     "ssim",
     "sam",
+    "score_pair",
     "evaluate_dataset",
     "ImageMetrics",
     "MetricReport",
@@ -61,12 +64,6 @@ def psnr(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray, peak: float
     if mse == 0.0:
         return math.inf
     return float(10.0 * np.log10(peak * peak / mse))
-
-
-def _gauss_kernel(sigma: float, radius: int) -> np.ndarray:
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return k / k.sum()
 
 
 def _corr_valid(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -194,19 +191,25 @@ def report_from_triples(
     )
 
 
+def score_pair(
+    recon: SpectralCube | np.ndarray,
+    ref: SpectralCube | np.ndarray,
+    peak: float = 1.0,
+) -> tuple[float, float, float]:
+    """The (psnr, ssim, sam) triple of one reconstruction against its
+    reference."""
+    return psnr(recon, ref, peak), ssim(recon, ref), sam(recon, ref)
+
+
 def evaluate_dataset(
     pairs: Iterable[tuple[SpectralCube | np.ndarray, SpectralCube | np.ndarray]],
     peak: float = 1.0,
 ) -> MetricReport:
     """Score every (reconstruction, reference) pair and average the results.
 
-    Evaluation runs sequentially in input order; a failure on any pair is
-    re-raised with that pair's index attached.
+    Pairs are scored in parallel under the ``SPECMOSAIC_THREADS`` cap and
+    reported in input order; a failure on any pair is re-raised with that
+    pair's index attached.
     """
-    triples: list[tuple[float, float, float]] = []
-    for i, (recon, ref) in enumerate(pairs):
-        try:
-            triples.append((psnr(recon, ref, peak), ssim(recon, ref), sam(recon, ref)))
-        except SpecmosaicError as e:
-            raise type(e)(f"pair {i}: {e}") from e
+    triples = map_records(lambda pair: score_pair(*pair, peak), pairs, what="pair")
     return report_from_triples(triples, peak)

@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from specmosaic import SfaPattern, SpectralCube, mosaic as sfa_mosaic
+from specmosaic import SfaPattern, SpectralCube, mosaic as sfa_mosaic, wb_bilinear
 from specmosaic.cli import cli_dispatch
-from specmosaic.dataset import read_manifest
+from specmosaic.dataset import load_record, read_manifest
 from specmosaic.fileio import read_cube, read_mosaic, write_cube
+from specmosaic.metrics import evaluate_dataset
 
 
 def run(capsys, *argv):
@@ -122,7 +123,7 @@ def test_pairs_empty_dir_fails(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_select_hard_missing_files_reports_record(tmp_path, capsys):
+def _missing_files_manifest(tmp_path):
     ds = tmp_path / "ds"
     ds.mkdir()
     line = {
@@ -130,9 +131,12 @@ def test_select_hard_missing_files_reports_record(tmp_path, capsys):
         "origin": [0, 0], "aug": "identity", "hard": None, "count": None,
     }
     (ds / "manifest.jsonl").write_text(json.dumps(line) + "\n")
-    code, _, err = run(
-        capsys, "select-hard", ds / "manifest.jsonl", "-o", tmp_path / "h.jsonl"
-    )
+    return ds / "manifest.jsonl"
+
+
+def test_select_hard_missing_files_reports_record(tmp_path, capsys):
+    manifest = _missing_files_manifest(tmp_path)
+    code, _, err = run(capsys, "select-hard", manifest, "-o", tmp_path / "h.jsonl")
     assert code == 1
     assert "record 0" in err
 
@@ -155,6 +159,33 @@ def test_metrics_manifest_identity_reconstruction(tmp_path, capsys):
     assert report["peak"] == 1.0
     assert len(report["per_image"]) == 1
     assert "1 pairs" in out
+
+
+def test_metrics_manifest_matches_evaluate_dataset(tmp_path, capsys):
+    rng = np.random.default_rng(103)
+    src = tmp_path / "src"
+    for name in ("a", "b"):
+        data = rng.uniform(0, 1, (4, 16, 16)).astype(np.float32)
+        write_cube(SpectralCube(data), src / name)
+    ds = tmp_path / "ds"
+    run(capsys, "pairs", src, "--pattern", "2x2", "--patch", "12", "12", "-o", ds)
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "metrics", ds / "manifest.jsonl", "-o", report_path)
+    assert code == 0
+    pairs = []
+    for rec in read_manifest(ds / "manifest.jsonl"):
+        cube, mosaic_img, pattern = load_record(ds, rec)
+        pairs.append((wb_bilinear(mosaic_img, pattern), cube))
+    assert len(pairs) == 2
+    assert report_path.read_text() == evaluate_dataset(pairs).to_json()
+
+
+def test_metrics_manifest_missing_files_reports_record(tmp_path, capsys):
+    manifest = _missing_files_manifest(tmp_path)
+    code, _, err = run(capsys, "metrics", manifest, "-o", tmp_path / "r.json")
+    assert code == 1
+    assert "record 0" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_metrics_pair_list_with_comments(tmp_path, capsys):

@@ -166,11 +166,8 @@ def _clamped(recon: SpectralCube, clamp: bool) -> SpectralCube:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     path = Path(args.input)
     try:
-        head = next(
-            (ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()
-             if ln.strip()),
-            "",
-        )
+        with path.open(encoding="utf-8") as f:
+            head = next((ln.strip() for ln in f if ln.strip()), "")
     except FileNotFoundError:
         raise FormatError(f"missing input {path}") from None
     except OSError as e:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -99,16 +99,7 @@ class PairRecord:
     count: int | None = None
 
     def to_json_line(self) -> str:
-        doc = {
-            "mosaic": self.mosaic,
-            "cube": self.cube,
-            "source": self.source,
-            "origin": [self.origin[0], self.origin[1]],
-            "aug": self.aug,
-            "hard": self.hard,
-            "count": self.count,
-        }
-        return json.dumps(doc)
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json_line(cls, line: str) -> "PairRecord":
@@ -332,15 +323,7 @@ def filter_hard(
     ]
     write_manifest(kept, out_path)
     sidecar = {
-        "params": {
-            "epsilon": fparams.epsilon,
-            "blur_sigma": fparams.blur_sigma,
-            "blur_radius": fparams.blur_radius,
-            "r_low": fparams.r_low,
-            "r_high": fparams.r_high,
-            "t_var": sparams.t_var,
-            "t_cnt": sparams.t_cnt,
-        },
+        "params": {**asdict(fparams), **asdict(sparams)},
         "verdicts": [
             {"index": i, "count": v.count, "hard": v.is_hard}
             for i, v in enumerate(verdicts)

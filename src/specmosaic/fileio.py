@@ -13,7 +13,11 @@ maps can additionally be exported as 8-bit PGM previews normalized by the map
 maximum.
 
 All writes go through a temp-file-then-rename so readers never observe a
-partially written artifact.
+partially written artifact. Each write uses its own randomly named temp file
+in the target's directory, so concurrent writers of one path cannot collide,
+and a failed write removes its temp file before the error propagates. A
+cube's sidecar is written after its payload: if a fresh cube's write is cut
+between the two, reading it fails on the missing sidecar.
 """
 
 from __future__ import annotations
@@ -66,10 +70,18 @@ def cube_stem(path: str | Path) -> Path:
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    # A random temp name per call keeps concurrent writers of one path apart,
+    # and exclusive creation never opens another writer's temp file. open()
+    # creates it with mode 0o666 & ~umask, like any other new file.
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)

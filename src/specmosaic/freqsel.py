@@ -162,12 +162,29 @@ def _gauss_kernel(sigma: float, radius: int) -> np.ndarray:
     return k / k.sum()
 
 
+def _corr_valid(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Separable valid-mode correlation with a symmetric 1D kernel on both
+    axes; output shrinks by (len(kernel) - 1) along each axis."""
+    out = img
+    taps = len(kernel)
+    for axis in (0, 1):
+        n = out.shape[axis] - (taps - 1)
+        shape = (n, out.shape[1]) if axis == 0 else (out.shape[0], n)
+        acc = np.zeros(shape, dtype=np.float64)
+        view = [slice(None), slice(None)]
+        for i, wgt in enumerate(kernel):
+            view[axis] = slice(i, i + n)
+            acc += wgt * out[tuple(view)]
+        out = acc
+    return out
+
+
 def gaussian_blur(map2d: np.ndarray, sigma: float, radius: int) -> np.ndarray:
     """Separable Gaussian smoothing with replicate borders.
 
     The 1D kernel is the sampled Gaussian on [-radius, radius], normalized to
-    sum 1, applied along each axis in turn; this equals dense 2D convolution
-    with the outer-product kernel.
+    sum 1, applied along each axis in turn to the edge-padded map; this
+    equals dense 2D convolution with the outer-product kernel.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -176,18 +193,7 @@ def gaussian_blur(map2d: np.ndarray, sigma: float, radius: int) -> np.ndarray:
     out = np.asarray(map2d, dtype=np.float64)
     if out.ndim != 2:
         raise ShapeError(f"expected a 2D map, got shape {out.shape}")
-    kernel = _gauss_kernel(sigma, radius)
-    for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        padded = np.pad(out, pad, mode="edge")
-        acc = np.zeros_like(out)
-        view = [slice(None), slice(None)]
-        for i, wgt in enumerate(kernel):
-            view[axis] = slice(i, i + out.shape[axis])
-            acc += wgt * padded[tuple(view)]
-        out = acc
-    return out
+    return _corr_valid(np.pad(out, radius, mode="edge"), _gauss_kernel(sigma, radius))
 
 
 def frequency_variation_map(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from ._threads import map_records
 from ._version import TOOL_VERSION
 from .core import DegenerateInputError, ShapeError, SpectralCube
-from .freqsel import _gauss_kernel
+from .freqsel import _corr_valid, _gauss_kernel
 
 __all__ = [
     "psnr",
@@ -64,23 +64,6 @@ def psnr(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray, peak: float
     if mse == 0.0:
         return math.inf
     return float(10.0 * np.log10(peak * peak / mse))
-
-
-def _corr_valid(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable valid-mode correlation with a symmetric 1D kernel on both
-    axes; output shrinks by (len(kernel) - 1) along each axis."""
-    out = img
-    taps = len(kernel)
-    for axis in (0, 1):
-        n = out.shape[axis] - (taps - 1)
-        shape = (n, out.shape[1]) if axis == 0 else (out.shape[0], n)
-        acc = np.zeros(shape, dtype=np.float64)
-        view = [slice(None), slice(None)]
-        for i, wgt in enumerate(kernel):
-            view[axis] = slice(i, i + n)
-            acc += wgt * out[tuple(view)]
-        out = acc
-    return out
 
 
 def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
@@ -157,20 +140,9 @@ class MetricReport:
     tool_version: str = TOOL_VERSION
 
     def to_json(self) -> str:
-        doc = {
-            "per_image": [
-                {"index": m.index, "psnr": m.psnr, "ssim": m.ssim, "sam": m.sam}
-                for m in self.per_image
-            ],
-            "mean_psnr": self.mean_psnr,
-            "mean_ssim": self.mean_ssim,
-            "mean_sam": self.mean_sam,
-            "peak": self.peak,
-            "tool_version": self.tool_version,
-        }
         # +inf PSNR serializes as the JavaScript-style Infinity token, which
         # json.loads round-trips.
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def report_from_triples(
@@ -197,8 +169,9 @@ def score_pair(
     peak: float = 1.0,
 ) -> tuple[float, float, float]:
     """The (psnr, ssim, sam) triple of one reconstruction against its
-    reference."""
-    return psnr(recon, ref, peak), ssim(recon, ref), sam(recon, ref)
+    reference. Both are converted to float64 once, for all three metrics."""
+    af, bf = _paired(recon, ref)
+    return psnr(af, bf, peak), ssim(af, bf), sam(af, bf)
 
 
 def evaluate_dataset(

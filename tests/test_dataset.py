@@ -128,6 +128,10 @@ def test_manifest_round_trip(tmp_path):
     first = json.loads(path.read_text().splitlines()[0])
     assert first["hard"] is None and first["count"] is None
     assert list(first) == ["mosaic", "cube", "source", "origin", "aug", "hard", "count"]
+    assert records[1].to_json_line() == (
+        '{"mosaic": "b_mosaic.bsq", "cube": "b_cube.bsq", "source": "b", '
+        '"origin": [8, 16], "aug": "rot180", "hard": true, "count": 12}'
+    )
 
 
 def test_manifest_blank_lines_skipped(tmp_path):
@@ -272,6 +276,9 @@ def test_filter_hard_constant_manifest_selects_nothing(tmp_path):
     verdicts = json.loads((tmp_path / "hard.jsonl.verdicts.json").read_text())
     assert [v["count"] for v in verdicts["verdicts"]] == [0, 0, 0]
     assert verdicts["params"]["t_cnt"] == SelectionParams().t_cnt
+    assert list(verdicts["params"]) == [
+        "epsilon", "blur_sigma", "blur_radius", "r_low", "r_high", "t_var", "t_cnt"
+    ]
 
 
 def test_filter_hard_selects_only_contaminated_record(tmp_path):

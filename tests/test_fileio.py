@@ -1,5 +1,9 @@
 import json
+import os
+import stat
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from specmosaic import (
 from specmosaic.freqsel import FrequencyVariationMap
 from specmosaic.fileio import (
     CubeSidecar,
+    _atomic_write_bytes,
     cube_stem,
     load_pattern_spec,
     read_cube,
@@ -107,6 +112,55 @@ def test_non_finite_payload_rejected_on_read(tmp_path):
 def test_no_temp_files_left_behind(tmp_path):
     write_cube(SpectralCube(np.zeros((1, 2, 2), dtype=np.float32)), tmp_path / "a")
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_write_removes_its_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_pgm8(np.ones((2, 2)), tmp_path / "p.pgm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_writers_of_one_path(tmp_path):
+    path = tmp_path / "out.bin"
+    payloads = [bytes([i]) * 1_000_000 for i in (1, 2)]
+    errors: list[BaseException] = []
+    start = threading.Barrier(len(payloads))
+
+    def writer(data):
+        try:
+            start.wait(timeout=60)
+            for _ in range(20):
+                _atomic_write_bytes(path, data)
+        except BaseException as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert path.read_bytes() in payloads
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_written_file_mode_follows_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_pgm8(np.ones((2, 2)), tmp_path / "p.pgm")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "p.pgm").stat().st_mode) == 0o640
 
 
 def test_sidecar_validation():

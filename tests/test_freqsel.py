@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmosaic import (
     FreqParams,
@@ -150,11 +152,20 @@ def test_blur_impulse_center_weight():
     assert abs(out[5, 5] - k1[5] * k1[5]) < 1e-12
 
 
-def test_blur_matches_dense_convolution_oracle():
-    rng = np.random.default_rng(42)
-    img = rng.uniform(0, 10, (12, 13))
-    got = gaussian_blur(img, sigma=2.0, radius=3)
-    want = blur_oracle(img, sigma=2.0, radius=3)
+@settings(max_examples=50, deadline=None)
+@given(
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    sigma=st.floats(0.3, 4.0),
+    radius=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=12, w=13, sigma=2.0, radius=3, seed=42)
+@example(h=2, w=3, sigma=1.0, radius=8, seed=0)  # radius > both sides
+def test_blur_matches_dense_convolution_oracle(h, w, sigma, radius, seed):
+    img = np.random.default_rng(seed).uniform(0, 10, (h, w))
+    got = gaussian_blur(img, sigma=sigma, radius=radius)
+    want = blur_oracle(img, sigma=sigma, radius=radius)
     assert np.max(np.abs(got - want)) < 1e-9
 
 

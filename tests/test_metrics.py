@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmosaic import (
     DegenerateInputError,
@@ -138,6 +140,18 @@ def test_ssim_identity_is_exactly_one():
     assert ssim(a, a) == 1.0
     c = SpectralCube(rng.uniform(0, 1, (2, 11, 11)).astype(np.float32))
     assert ssim(c, c) == 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    bands=st.integers(1, 4),
+    h=st.integers(11, 40),
+    w=st.integers(11, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ssim_identity_property(bands, h, w, seed):
+    a = np.random.default_rng(seed).uniform(0, 1, (bands, h, w)).astype(np.float32)
+    assert ssim(a, a) == 1.0
 
 
 def test_ssim_matches_windowed_oracle():

@@ -2,16 +2,23 @@
 
 The environment variable ``SPECMOSAIC_THREADS`` caps parallelism for every
 batch operation in the package (0 or unset means auto-detect). The cap never
-exceeds the CPUs this process may run on: extra threads only contend for the
-GIL. All parallel maps preserve input order and all mapped functions are
-pure, so results — and therefore every file written from them — are
-byte-identical regardless of the worker count or scheduling.
+exceeds the CPUs this process may run on. Workers are processes forked from
+the caller, so the many small NumPy calls each record makes do not queue on
+one interpreter lock. A forked worker inherits the mapped function and its
+inputs through copy-on-write memory: neither is pickled, so closures work,
+and only item indices go out and results come back. No kernel in the package
+calls BLAS, so its threads need no pinning inside workers. Forking is unsafe
+while other threads of the caller may hold locks: a caller that runs threads
+of its own should set ``SPECMOSAIC_THREADS=1``.
+
+All parallel maps preserve input order and all mapped functions are pure, so
+results — and therefore every file written from them — are byte-identical
+regardless of the worker count or scheduling.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .core import FormatError, SpecmosaicError
@@ -22,6 +29,9 @@ _ENV_VAR = "SPECMOSAIC_THREADS"
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# The (fn, items) of the map a forked worker serves; set in each worker only.
+_job: tuple[Callable, Sequence] | None = None
 
 
 def _usable_cpus() -> int:
@@ -45,19 +55,44 @@ def worker_count() -> int:
     return min(n, cpus) if n else cpus
 
 
+def _install(fn: Callable, seq: Sequence) -> None:
+    # Runs in each worker right after the fork; the arguments were inherited
+    # from the parent's memory, not pickled.
+    global _job
+    _job = (fn, seq)
+
+
+def _call(i: int):
+    fn, seq = _job
+    return fn(seq[i])
+
+
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     """Map ``fn`` over ``items``, returning results in input order.
 
-    Uses a thread pool sized by :func:`worker_count`; falls back to a plain
-    loop when one worker (or one item) makes a pool pointless. Exceptions
-    from ``fn`` propagate at the failing item's position in input order.
+    Uses a pool of ``min(worker_count(), len(items))`` forked processes; runs
+    a plain loop when that is one worker or the platform cannot fork. Results
+    must be picklable. The first failing item in input order raises its
+    exception, and items that have not started by then are cancelled.
     """
     seq: Sequence[T] = items if isinstance(items, Sequence) else list(items)
-    n = worker_count()
-    if n <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, seq))
+    n = min(worker_count(), len(seq))
+    if n > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(
+                n, mp_context=ctx, initializer=_install, initargs=(fn, seq)
+            ) as ex:
+                try:
+                    return list(ex.map(_call, range(len(seq))))
+                except BaseException:
+                    ex.shutdown(cancel_futures=True)
+                    raise
+    return [fn(x) for x in seq]
 
 
 def map_records(

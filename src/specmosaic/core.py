@@ -9,7 +9,8 @@ Conventions that hold across the whole package:
   rounded back to float32 on output. This keeps file round-trips bit-exact
   while avoiding drift inside the math.
 * Value types are immutable after construction (backing numpy buffers are
-  marked read-only), so they can be shared freely across worker threads.
+  marked read-only), so they can be shared freely, including with forked
+  worker processes, which inherit them copy-on-write.
 * Geometry helpers that interact with the mosaic lattice take the pattern
   period explicitly and refuse misaligned windows — a patch that starts
   off-phase would silently scramble the band assignment of every pixel in it.

@@ -16,8 +16,10 @@ All writes go through a temp-file-then-rename so readers never observe a
 partially written artifact. Each write uses its own randomly named temp file
 in the target's directory, so concurrent writers of one path cannot collide,
 and a failed write removes its temp file before the error propagates. A
-cube's sidecar is written after its payload: if a fresh cube's write is cut
-between the two, reading it fails on the missing sidecar.
+cube's write first removes any old sidecar, then writes the payload, then the
+new sidecar: a write cut anywhere between, over a fresh or an existing cube,
+reads back as a missing sidecar (:class:`FormatError`), never as a payload
+beside a stale sidecar.
 """
 
 from __future__ import annotations
@@ -170,6 +172,9 @@ def write_cube(
         wavelengths_nm=wavelengths_nm,
     )
     payload = np.ascontiguousarray(cube.data, dtype="<f4").tobytes()
+    # An old sidecar must not outlive its payload: a write cut after the
+    # payload then reads back as a missing sidecar, not a stale one.
+    stem.with_suffix(SIDECAR_SUFFIX).unlink(missing_ok=True)
     _atomic_write_bytes(stem.with_suffix(PAYLOAD_SUFFIX), payload)
     doc = json.dumps(sidecar.to_dict(), indent=2) + "\n"
     _atomic_write_bytes(stem.with_suffix(SIDECAR_SUFFIX), doc.encode("utf-8"))

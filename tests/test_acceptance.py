@@ -44,9 +44,14 @@ from specmosaic.fileio import read_cube, read_mosaic, read_sidecar, write_cube
 # --------------------------------------------------------------- plumbing
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def _cli(args, threads):
     env = dict(os.environ)
     env["SPECMOSAIC_THREADS"] = str(threads)
+    # The child imports this checkout's package, installed or not.
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "specmosaic.cli", *map(str, args)],
         capture_output=True,

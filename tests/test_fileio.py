@@ -124,6 +124,27 @@ def test_failed_write_removes_its_temp_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_overwrite_cut_before_sidecar_reads_as_missing_sidecar(tmp_path, monkeypatch):
+    stem = write_cube(
+        SpectralCube(np.zeros((4, 2, 2), dtype=np.float32)),
+        tmp_path / "c",
+        pattern=SfaPattern.row_major(2),
+    )
+
+    def cut_at_sidecar(path, data):
+        if path.suffix == ".json":
+            raise OSError("cut before sidecar")
+        _atomic_write_bytes(path, data)
+
+    monkeypatch.setattr("specmosaic.fileio._atomic_write_bytes", cut_at_sidecar)
+    new = np.ones((4, 2, 2), dtype=np.float32)
+    with pytest.raises(OSError, match="cut before sidecar"):
+        write_cube(SpectralCube(new), stem, pattern=SfaPattern(np.array([[3, 2], [1, 0]])))
+    assert (tmp_path / "c.bsq").read_bytes() == new.tobytes()  # new payload landed
+    with pytest.raises(FormatError, match="missing sidecar"):
+        read_cube(stem)
+
+
 def test_concurrent_writers_of_one_path(tmp_path):
     path = tmp_path / "out.bin"
     payloads = [bytes([i]) * 1_000_000 for i in (1, 2)]

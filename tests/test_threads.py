@@ -1,8 +1,24 @@
+import multiprocessing
 import os
+import time
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specmosaic import FormatError, ShapeError
+from specmosaic import (
+    FormatError,
+    SelectionParams,
+    SfaPattern,
+    ShapeError,
+    SpectralCube,
+    evaluate_dataset,
+    mosaic,
+    select_hard,
+    wb_bilinear,
+)
 from specmosaic._threads import map_records, worker_count
 
 
@@ -39,3 +55,117 @@ def test_map_records_names_the_failing_item():
         map_records(fn, ["a", "shape"], what="pair")
     with pytest.raises(FormatError, match=r"^record 2: denied$"):
         map_records(fn, ["a", "b", "io"])
+
+
+# ------------------------------------------------------------ process pool
+
+needs_two_cpus = pytest.mark.skipif(
+    _usable_cpus() < 2, reason="a pool of 2 workers needs 2 usable CPUs"
+)
+
+
+@contextmanager
+def _workers(n):
+    old = os.environ.get("SPECMOSAIC_THREADS")
+    os.environ["SPECMOSAIC_THREADS"] = str(n)
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["SPECMOSAIC_THREADS"]
+        else:
+            os.environ["SPECMOSAIC_THREADS"] = old
+
+
+@needs_two_cpus
+def test_pool_maps_a_closure_in_input_order(monkeypatch):
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+    parent = os.getpid()
+    scale = np.arange(3.0)  # captured, never pickled
+
+    def fn(x):
+        return x * scale, os.getpid()
+
+    out = map_records(fn, range(12))
+    assert [list(v) for v, _ in out] == [[0.0, x, 2.0 * x] for x in range(12)]
+    assert all(pid != parent for _, pid in out)
+    assert multiprocessing.active_children() == []
+
+
+@needs_two_cpus
+def test_pool_worker_errors_keep_type_and_message(monkeypatch):
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+
+    def fn(x):
+        if x == 3:
+            raise ShapeError("bad shape")
+        if x == 5:
+            raise PermissionError("denied")
+        return x
+
+    with pytest.raises(ShapeError, match=r"^pair 3: bad shape$"):
+        map_records(fn, range(8), what="pair")
+    assert multiprocessing.active_children() == []
+    with pytest.raises(FormatError, match=r"^record 5: denied$"):
+        map_records(fn, [0, 1, 2, 4, 4, 5, 6])
+    assert multiprocessing.active_children() == []
+
+
+@needs_two_cpus
+def test_pool_cancels_items_not_started_after_a_failure(monkeypatch, tmp_path):
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+
+    def fn(x):
+        (tmp_path / str(x)).touch()
+        if x == 0:
+            raise ShapeError("bad")
+        time.sleep(0.2)
+        return x
+
+    with pytest.raises(ShapeError, match=r"^record 0: bad$"):
+        map_records(fn, range(40))
+    # Item 0 fails at once; only the few items already handed to a worker run.
+    assert len(list(tmp_path.iterdir())) <= 8
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads, n_items", [("1", 5), ("2", 1)])
+def test_one_worker_never_forks(monkeypatch, threads, n_items):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
+    assert map_records(lambda x: x + 1, range(n_items)) == list(range(1, n_items + 1))
+
+
+@st.composite
+def _cube_pairs(draw):
+    period = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(period * period)))
+    pattern = SfaPattern(np.array(order).reshape(period, period))
+    h = draw(st.integers(11, 24))
+    w = draw(st.integers(11, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for _ in range(draw(st.integers(2, 4))):
+        cube = SpectralCube(rng.uniform(0, 1, (pattern.bands, h, w)).astype(np.float32))
+        pairs.append((cube, wb_bilinear(mosaic(cube, pattern), pattern)))
+    return pairs
+
+
+@needs_two_cpus
+@settings(max_examples=20, deadline=None)
+@given(pairs=_cube_pairs(), t_var=st.floats(0.0, 2.0))
+def test_results_identical_at_one_and_two_workers(pairs, t_var):
+    sparams = SelectionParams(t_var=t_var, t_cnt=0)
+    runs = []
+    for n in (1, 2):
+        with _workers(n):
+            runs.append(
+                (
+                    select_hard(pairs, sparams=sparams),
+                    evaluate_dataset([(b, a) for a, b in pairs]),
+                )
+            )
+    assert runs[0] == runs[1]

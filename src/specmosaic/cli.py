@@ -23,6 +23,7 @@ import numpy as np
 from ._threads import map_records
 from ._version import TOOL_VERSION
 from .core import DegenerateInputError, FormatError, SpecmosaicError, SpectralCube
+from .core import _as_format_error
 from .dataset import (
     MANIFEST_NAME,
     filter_hard,
@@ -66,16 +67,13 @@ def _add_freq_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _freq_params(args: argparse.Namespace) -> FreqParams:
-    try:
-        return FreqParams(
-            epsilon=args.eps,
-            blur_sigma=args.sigma,
-            blur_radius=args.radius,
-            r_low=args.r_low,
-            r_high=args.r_high,
-        )
-    except ValueError as e:
-        raise FormatError(str(e)) from e
+    return FreqParams(
+        epsilon=args.eps,
+        blur_sigma=args.sigma,
+        blur_radius=args.radius,
+        r_low=args.r_low,
+        r_high=args.r_high,
+    )
 
 
 def _cmd_mosaic(args: argparse.Namespace) -> int:
@@ -113,10 +111,7 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_select_hard(args: argparse.Namespace) -> int:
-    try:
-        sparams = SelectionParams(t_var=args.t_var, t_cnt=args.t_cnt)
-    except ValueError as e:
-        raise FormatError(str(e)) from e
+    sparams = SelectionParams(t_var=args.t_var, t_cnt=args.t_cnt)
     kept = filter_hard(
         args.manifest, _freq_params(args), sparams, out_path=args.output
     )
@@ -141,9 +136,11 @@ def _metric_pairs_from_manifest(path: Path, clamp: bool):
 
 
 def _metric_pairs_from_list(path: Path, clamp: bool):
+    with _as_format_error(f"pair list {path}"):
+        text = path.read_text(encoding="utf-8")
     lines = [
         (n, line.strip())
-        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines())
+        for n, line in enumerate(text.splitlines())
         if line.strip() and not line.strip().startswith("#")
     ]
 
@@ -165,15 +162,9 @@ def _clamped(recon: SpectralCube, clamp: bool) -> SpectralCube:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    try:
-        with path.open(encoding="utf-8") as f:
-            head = next((ln.strip() for ln in f if ln.strip()), "")
-    except FileNotFoundError:
-        raise FormatError(f"missing input {path}") from None
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
-    is_manifest = path.suffix == ".jsonl" or head.startswith("{")
-    if is_manifest:
+    with _as_format_error(f"input {path}"), path.open(encoding="utf-8") as f:
+        head = next((ln.strip() for ln in f if ln.strip()), "")
+    if path.suffix == ".jsonl" or head.startswith("{"):
         triples = _metric_pairs_from_manifest(path, args.clamp)
     else:
         triples = _metric_pairs_from_list(path, args.clamp)

@@ -19,7 +19,9 @@ Conventions that hold across the whole package:
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -74,6 +76,30 @@ class FormatError(SpecmosaicError, ValueError):
 
 class DegenerateInputError(SpecmosaicError, ValueError):
     """The input is too small or too empty for the operation to be defined."""
+
+
+@contextmanager
+def _as_format_error(what: str) -> Iterator[None]:
+    """The parse boundary for outside input: inside it a bad file or value
+    raises only :class:`FormatError`. One raised inside passes through, a
+    missing file becomes ``missing {what}``, and the errors of reading or
+    decoding a bad file or value become ``ill-formed {what}: {e}``."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except FileNotFoundError:
+        raise FormatError(f"missing {what}") from None
+    except (OSError, ValueError, TypeError, KeyError, IndexError, OverflowError,
+            RecursionError) as e:  # RecursionError: JSON nested too deep
+        raise FormatError(f"ill-formed {what}: {e}") from e
+
+
+def _json_int(value: object) -> int:
+    """``value`` if it is a JSON integer; a float, string or bool raises."""
+    if type(value) is not int:  # not isinstance: a bool is an int
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _frozen_f32(data: np.ndarray, ndim: int, what: str) -> np.ndarray:
@@ -211,17 +237,16 @@ class SfaPattern:
         return {"period": self.period, "band_at": self.band_at.ravel().tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SfaPattern":
-        try:
-            period = int(d["period"])
-            flat = list(d["band_at"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"bad pattern description: {e}") from e
-        if period < 1 or len(flat) != period * period:
-            raise FormatError(
-                f"pattern band_at must list period**2 = {period * period} entries"
-            )
-        return cls(np.asarray(flat, dtype=np.int64).reshape(period, period))
+    def from_dict(cls, d: dict, *, what: str = "pattern description") -> "SfaPattern":
+        """Parse :meth:`to_dict`'s output; ``what`` names the input in errors."""
+        with _as_format_error(what):
+            period = _json_int(d["period"])
+            flat = [_json_int(b) for b in d["band_at"]]
+            if period < 1 or len(flat) != period * period:
+                raise FormatError(
+                    f"{what}: band_at must list period**2 = {period * period} entries"
+                )
+            return cls(np.asarray(flat, dtype=np.int64).reshape(period, period))
 
 
 @dataclass(frozen=True)

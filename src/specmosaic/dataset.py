@@ -44,6 +44,8 @@ from .core import (
     SfaPattern,
     ShapeError,
     SpectralCube,
+    _as_format_error,
+    _json_int,
     crop_aligned,
     transform_d4,
 )
@@ -103,20 +105,21 @@ class PairRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "PairRecord":
-        try:
+        with _as_format_error("manifest record"):
             doc = json.loads(line)
-            origin = doc["origin"]
+            row, col = doc["origin"]
+            hard = doc.get("hard")
+            if hard is not None and type(hard) is not bool:
+                raise TypeError(f"hard must be true, false or null, got {hard!r}")
             return cls(
                 mosaic=str(doc["mosaic"]),
                 cube=str(doc["cube"]),
                 source=str(doc["source"]),
-                origin=(int(origin[0]), int(origin[1])),
+                origin=(_json_int(row), _json_int(col)),
                 aug=str(doc["aug"]),
-                hard=None if doc.get("hard") is None else bool(doc["hard"]),
-                count=None if doc.get("count") is None else int(doc["count"]),
+                hard=hard,
+                count=None if doc.get("count") is None else _json_int(doc["count"]),
             )
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as e:
-            raise FormatError(f"ill-formed manifest record: {e}") from e
 
 
 def write_manifest(records: Iterable[PairRecord], path: str | Path) -> None:
@@ -125,10 +128,8 @@ def write_manifest(records: Iterable[PairRecord], path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[PairRecord]:
-    try:
+    with _as_format_error(f"manifest {path}"):
         text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise FormatError(f"missing manifest {path}") from None
     records: list[PairRecord] = []
     for n, line in enumerate(text.splitlines()):
         if not line.strip():

@@ -20,6 +20,11 @@ cube's write first removes any old sidecar, then writes the payload, then the
 new sidecar: a write cut anywhere between, over a fresh or an existing cube,
 reads back as a missing sidecar (:class:`FormatError`), never as a payload
 beside a stale sidecar.
+
+Every reader fails on a missing or malformed file with :class:`FormatError`
+naming the file (a failed sidecar check names only the check), or with
+:class:`ValidationError` on NaN/Inf samples. Integer fields must be JSON
+integers: ``2.0``, ``"2"`` and ``true`` are rejected, not coerced.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from .core import (
     SfaPattern,
     SpectralCube,
     ValidationError,
+    _as_format_error,
+    _json_int,
     validate_cube,
 )
 from .freqsel import FrequencyVariationMap
@@ -129,30 +136,22 @@ class CubeSidecar:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CubeSidecar":
+    def from_dict(cls, d: dict, *, what: str = "sidecar") -> "CubeSidecar":
+        """Parse :meth:`to_dict`'s output; ``what`` names the input in errors."""
         if not isinstance(d, dict):
-            raise FormatError(f"sidecar must be a JSON object, got {type(d).__name__}")
-        try:
-            height = int(d["height"])
-            width = int(d["width"])
-            bands = int(d["bands"])
-            dtype = str(d.get("dtype", "f32le"))
-            interleave = str(d.get("interleave", "bsq"))
-        except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"ill-formed sidecar: {e}") from e
-        pattern = None
-        if "pattern" in d and d["pattern"] is not None:
-            try:
-                pattern = SfaPattern.from_dict(d["pattern"])
-            except ValueError as e:
-                raise FormatError(f"ill-formed sidecar pattern: {e}") from e
-        wl = None
-        if "wavelengths_nm" in d and d["wavelengths_nm"] is not None:
-            try:
-                wl = tuple(float(x) for x in d["wavelengths_nm"])
-            except (TypeError, ValueError) as e:
-                raise FormatError(f"ill-formed wavelengths_nm: {e}") from e
-        return cls(height, width, bands, dtype, interleave, pattern, wl)
+            raise FormatError(f"{what} must be a JSON object, got {type(d).__name__}")
+        with _as_format_error(what):
+            pattern = d.get("pattern")
+            if pattern is not None:
+                pattern = SfaPattern.from_dict(pattern, what=f"{what} pattern")
+            wl = d.get("wavelengths_nm")
+            return cls(
+                *(_json_int(d[k]) for k in ("height", "width", "bands")),
+                dtype=str(d.get("dtype", "f32le")),
+                interleave=str(d.get("interleave", "bsq")),
+                pattern=pattern,
+                wavelengths_nm=None if wl is None else tuple(float(x) for x in wl),
+            )
 
 
 def write_cube(
@@ -183,15 +182,10 @@ def write_cube(
 
 def read_sidecar(path: str | Path) -> CubeSidecar:
     side_path = cube_stem(path).with_suffix(SIDECAR_SUFFIX)
-    try:
-        text = side_path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise FormatError(f"missing sidecar {side_path}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"ill-formed sidecar {side_path}: {e}") from e
-    return CubeSidecar.from_dict(doc)
+    what = f"sidecar {side_path}"
+    with _as_format_error(what):
+        doc = json.loads(side_path.read_text(encoding="utf-8"))
+    return CubeSidecar.from_dict(doc, what=what)
 
 
 def read_cube(path: str | Path) -> SpectralCube:
@@ -208,10 +202,8 @@ def _read_cube_with_sidecar(path: str | Path) -> tuple[SpectralCube, CubeSidecar
     stem = cube_stem(path)
     side = read_sidecar(stem)
     payload_path = stem.with_suffix(PAYLOAD_SUFFIX)
-    try:
+    with _as_format_error(f"payload {payload_path}"):
         raw = payload_path.read_bytes()
-    except FileNotFoundError:
-        raise FormatError(f"missing payload {payload_path}") from None
     expected = side.height * side.width * side.bands * 4
     if len(raw) != expected:
         raise FormatError(
@@ -242,7 +234,8 @@ def read_mosaic(path: str | Path) -> MosaicImage:
 
 def read_pgm16(path: str | Path) -> MosaicImage:
     """Ingest a binary 16-bit grayscale PGM frame, normalized by 65535."""
-    raw = Path(path).read_bytes()
+    with _as_format_error(f"PGM {path}"):
+        raw = Path(path).read_bytes()
     tokens: list[bytes] = []
     i = 0
     while len(tokens) < 4:
@@ -261,10 +254,8 @@ def read_pgm16(path: str | Path) -> MosaicImage:
         i = j
     if tokens[0] != b"P5":
         raise FormatError(f"{path}: expected binary PGM magic P5, got {tokens[0]!r}")
-    try:
+    with _as_format_error(f"PGM header in {path}"):
         width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError as e:
-        raise FormatError(f"{path}: non-numeric PGM header field") from e
     if maxval != 65535:
         raise FormatError(f"{path}: unsupported depth maxval={maxval} (need 65535)")
     i += 1  # exactly one whitespace byte separates maxval from the payload
@@ -274,8 +265,9 @@ def read_pgm16(path: str | Path) -> MosaicImage:
         raise FormatError(
             f"{path}: payload holds {len(payload)} bytes, expected {expected}"
         )
-    samples = np.frombuffer(payload, dtype=">u2").reshape(height, width)
-    return MosaicImage((samples.astype(np.float64) / 65535.0).astype(np.float32))
+    with _as_format_error(f"PGM {path}"):
+        samples = np.frombuffer(payload, dtype=">u2").reshape(height, width)
+        return MosaicImage((samples.astype(np.float64) / 65535.0).astype(np.float32))
 
 
 def write_pgm8(values: np.ndarray, path: str | Path) -> None:
@@ -316,19 +308,10 @@ def load_pattern_spec(spec: str) -> SfaPattern:
         if a != b or a < 1:
             raise FormatError(f"pattern spec {spec!r} must be square, e.g. 4x4")
         return SfaPattern.row_major(a)
-    path = Path(spec)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise FormatError(
-            f"pattern spec {spec!r} is neither NxN nor a readable JSON file"
-        ) from None
-    except json.JSONDecodeError as e:
-        raise FormatError(f"ill-formed pattern file {path}: {e}") from e
-    try:
-        return SfaPattern.from_dict(doc)
-    except ValueError as e:
-        raise FormatError(f"ill-formed pattern file {path}: {e}") from e
+    what = f"pattern spec {spec!r} (neither NxN nor a readable JSON pattern file)"
+    with _as_format_error(what):
+        doc = json.loads(Path(spec).read_text(encoding="utf-8"))
+    return SfaPattern.from_dict(doc, what=what)
 
 
 def write_pattern_json(pattern: SfaPattern, path: str | Path) -> None:

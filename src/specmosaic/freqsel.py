@@ -130,7 +130,6 @@ class FrequencyVariationMap:
 class PatchVerdict:
     count: int
     is_hard: bool
-    params: SelectionParams
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def classify_patch(
     t_cnt (a count exactly equal to t_cnt is NOT hard)."""
     params = params or SelectionParams()
     count = int((fvmap.values > params.t_var).sum())
-    return PatchVerdict(count=count, is_hard=count > params.t_cnt, params=params)
+    return PatchVerdict(count=count, is_hard=count > params.t_cnt)
 
 
 def select_hard(

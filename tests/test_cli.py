@@ -292,13 +292,44 @@ def test_band_count_mismatch_exits_1(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_module_entry_point_runs():
+def _run_module(*argv):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "specmosaic.cli", "--version"],
+    return subprocess.run(
+        [sys.executable, "-m", "specmosaic.cli", *map(str, argv)],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_module_entry_point_runs():
+    proc = _run_module("--version")
     assert proc.returncode == 0
     assert proc.stdout.startswith("specmosaic ")
+
+
+_RECORD = {"mosaic": "m.bsq", "cube": "c.bsq", "source": "s", "origin": [0, 0], "aug": "identity"}
+
+
+@pytest.mark.parametrize(
+    "command, name, content",
+    [
+        ("select-hard", "inf.jsonl",
+         json.dumps(_RECORD).replace("[0, 0]", "[1e400, 0]").encode()),
+        ("select-hard", "deep.jsonl", b"[" * 100_000),
+        ("pairs", "p.json", b'{"period": 1e400, "band_at": [0]}'),
+        ("metrics", "pairs.txt", b"a.bsq \xff.bsq\n"),
+    ],
+    ids=["inf-origin", "deep-nesting", "inf-period", "non-utf8-pair-list"],
+)
+def test_malformed_input_exits_1_without_traceback(tmp_path, command, name, content):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    if command == "pairs":
+        argv = ("pairs", tmp_path, "--pattern", bad, "-o", tmp_path / "out")
+    else:
+        argv = (command, bad, "-o", tmp_path / "out.json")
+    proc = _run_module(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmosaic import (
     AlignmentError,
@@ -157,6 +159,58 @@ def test_manifest_missing_file():
 def test_record_parse_requires_fields():
     with pytest.raises(FormatError):
         PairRecord.from_json_line('{"mosaic": "m.bsq"}')
+
+
+_GOOD_LINE = PairRecord("m.bsq", "c.bsq", "s", (0, 0), "identity").to_json_line()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("origin", [0.5, 0]), ("origin", [True, 0]), ("origin", [0, 0, 0]), ("count", 1.0),
+     ("hard", "no"), ("hard", 1)],
+)
+def test_record_fields_are_not_coerced(field, value):
+    line = json.dumps({**json.loads(_GOOD_LINE), field: value})
+    with pytest.raises(FormatError, match="manifest record"):
+        PairRecord.from_json_line(line)
+
+
+_MANIFEST_KEYS = ("mosaic", "cube", "source", "origin", "aug", "hard", "count")
+# JSON values whose objects mostly use manifest keys, so that the fuzz reaches
+# the field parsers and not only the missing-key path.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(_MANIFEST_KEYS) | st.text(max_size=2), kids, max_size=8),
+    max_leaves=24,
+)
+_INF_ORIGIN = _GOOD_LINE.replace('"origin": [0, 0]', '"origin": [1e400, 0]')
+_DEEP = "[" * 100_000
+
+
+@settings(max_examples=100, deadline=None)
+@given(line=st.text(max_size=64) | _JSON.map(json.dumps))
+@example(line=_INF_ORIGIN)
+@example(line=_DEEP)
+def test_fuzz_record_parse(line):
+    try:
+        PairRecord.from_json_line(line)
+    except FormatError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.binary(max_size=64) | _JSON.map(lambda d: json.dumps(d).encode()))
+@example(raw=_INF_ORIGIN.encode())
+@example(raw=_DEEP.encode())
+@example(raw=_GOOD_LINE.encode() + b"\n\xff\n")
+def test_fuzz_read_manifest(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("man") / "m.jsonl"
+    path.write_bytes(raw)
+    try:
+        read_manifest(path)
+    except FormatError:
+        pass
 
 
 # ------------------------------------------------------ make_pseudo_pairs

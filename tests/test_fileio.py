@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmosaic import (
     FormatError,
@@ -330,4 +332,120 @@ def test_pattern_spec_json_invalid(tmp_path):
         load_pattern_spec(str(path))
     path.write_text("{broken")
     with pytest.raises(FormatError):
+        load_pattern_spec(str(path))
+
+
+# ------------------------------------------------------- the parse boundary
+
+_SIDECAR_KEYS = ("height", "width", "bands", "dtype", "interleave", "pattern",
+                 "wavelengths_nm", "period", "band_at")
+# JSON values whose objects mostly use sidecar and pattern keys, so that the
+# fuzz reaches the field parsers and not only the missing-key path.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(st.sampled_from(_SIDECAR_KEYS) | st.text(max_size=2), kids, max_size=8),
+    max_leaves=24,
+)
+
+
+def _only_format_error(fn, *args):
+    try:
+        fn(*args)
+    except FormatError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.binary(max_size=64))
+@example(raw=b"P5\n0 0\n65535\n")
+@example(raw=b"P5\n-1 -2\n65535\n\x00\x00\x00\x00")
+def test_fuzz_pgm16_random_bytes(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+    path.write_bytes(raw)
+    _only_format_error(read_pgm16, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.integers(-2, 4),
+    height=st.integers(-2, 4),
+    payload=st.binary(max_size=40),
+)
+def test_fuzz_pgm16_valid_header_random_payload(tmp_path_factory, width, height, payload):
+    path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+    path.write_bytes(f"P5\n{width} {height}\n65535\n".encode("ascii") + payload)
+    _only_format_error(read_pgm16, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_JSON)
+@example(doc={"height": True, "width": 1, "bands": 1})
+@example(doc={"height": 1, "width": 1, "bands": 1, "pattern": {"period": 1e400}})
+@example(doc={"height": 1, "width": 1, "bands": 1, "wavelengths_nm": [10**400]})
+@example(doc={"height": 1, "width": 1, "bands": 1, "pattern": {"period": 1, "band_at": [2**64]}})
+def test_fuzz_sidecar_from_dict(doc):
+    _only_format_error(CubeSidecar.from_dict, doc)
+
+
+_BAD_FILES = (
+    b"\xff\xfe{}",  # not UTF-8
+    b"[" * 100_000,  # nested deeper than the JSON decoder recurses
+    b'{"period": 1e400, "band_at": [0]}',
+    b'{"height": 1e400, "width": 1, "bands": 1}',
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.binary(max_size=64) | _JSON.map(lambda d: json.dumps(d).encode()))
+@example(raw=_BAD_FILES[0])
+@example(raw=_BAD_FILES[1])
+@example(raw=_BAD_FILES[3])
+def test_fuzz_read_sidecar(tmp_path_factory, raw):
+    stem = tmp_path_factory.mktemp("side") / "c"
+    stem.with_suffix(".json").write_bytes(raw)
+    _only_format_error(read_sidecar, stem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.binary(max_size=64) | _JSON.map(lambda d: json.dumps(d).encode()))
+@example(raw=_BAD_FILES[0])
+@example(raw=_BAD_FILES[1])
+@example(raw=_BAD_FILES[2])
+def test_fuzz_load_pattern_spec(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("pat") / "p.json"
+    path.write_bytes(raw)
+    _only_format_error(load_pattern_spec, str(path))
+
+
+def test_unreadable_inputs_fail_with_format_error(tmp_path):
+    (tmp_path / "dir.json").mkdir()
+    with pytest.raises(FormatError, match="ill-formed sidecar"):
+        read_sidecar(tmp_path / "dir")
+    with pytest.raises(FormatError, match="missing PGM"):
+        read_pgm16(tmp_path / "none.pgm")
+    (tmp_path / "empty.pgm").write_bytes(b"P5\n0 0\n65535\n")
+    with pytest.raises(FormatError, match="empty.pgm"):
+        read_pgm16(tmp_path / "empty.pgm")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"height": True, "width": 2, "bands": 1},
+        {"height": 2.0, "width": 2, "bands": 1},
+        {"height": 2, "width": "2", "bands": 1},
+        {"height": 2, "width": 2, "bands": 4, "pattern": {"period": 2, "band_at": [0.5, 1, 2, 3]}},
+        {"height": 2, "width": 2, "bands": 4, "pattern": {"period": 2.0, "band_at": [0, 1, 2, 3]}},
+    ],
+)
+def test_sidecar_integer_fields_must_be_json_integers(doc):
+    with pytest.raises(FormatError, match="expected an integer"):
+        CubeSidecar.from_dict(doc)
+
+
+def test_pattern_file_band_at_must_be_json_integers(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"period": 2, "band_at": [0.5, 1, 2, 3]}')
+    with pytest.raises(FormatError, match="p.json.*expected an integer"):
         load_pattern_spec(str(path))

@@ -1,0 +1,71 @@
+"""Round-trip contracts as properties over random patterns and sizes.
+
+Periods run 1-8 with a random bijective band assignment, and each side runs
+from one period to just under four, so most sides are not period multiples.
+Samples are random finite float32 bit patterns, with -0.0 and subnormals
+mixed in on purpose.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from specmosaic import MosaicImage, SfaPattern, SpectralCube, mosaic, remosaic, sparse_expand
+from specmosaic.demosaic import wb_bilinear
+from specmosaic.fileio import read_cube, read_sidecar, write_cube
+
+_EXP = np.uint32(0x7F800000)  # float32 exponent bits; all set means inf or nan
+_SPECIAL = np.array([0x80000000, 0x00000001, 0x807FFFFF, 0x00800000], dtype=np.uint32)
+
+
+@st.composite
+def _patterned(draw, planes: str):
+    """(pattern, samples): ``planes`` is "mosaic" for an (H, W) array or
+    "cube" for a (period**2, H, W) one. One sample in eight is -0.0, a
+    subnormal or the smallest normal; the rest are random finite bits."""
+    p = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(p * p)))
+    pattern = SfaPattern(np.array(order).reshape(p, p))
+    sides = st.integers(p, 4 * p - 1)
+    shape = (draw(sides), draw(sides))
+    if planes == "cube":
+        shape = (p * p, *shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**32, shape, dtype=np.uint32)
+    bits[bits & _EXP == _EXP] ^= np.uint32(0x00800000)  # exponent 0xFF -> 0xFE
+    special = rng.random(shape) < 0.125
+    bits[special] = rng.choice(_SPECIAL, int(special.sum()))
+    return pattern, bits.view(np.float32)
+
+
+_ONE_PIXEL = (SfaPattern.row_major(1), np.array([[[-0.0]]], dtype=np.float32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_patterned("mosaic"))
+@example(case=(_ONE_PIXEL[0], _ONE_PIXEL[1][0]))
+def test_mosaic_of_sparse_expand_is_identity(case):
+    pattern, samples = case
+    m = MosaicImage(samples)
+    assert mosaic(sparse_expand(m, pattern), pattern).data.tobytes() == m.data.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_patterned("mosaic"))
+@example(case=(_ONE_PIXEL[0], _ONE_PIXEL[1][0]))
+def test_remosaic_of_wb_bilinear_is_identity(case):
+    pattern, samples = case
+    m = MosaicImage(samples)
+    # Equal as values: a -0.0 sample comes back as +0.0.
+    assert np.array_equal(remosaic(wb_bilinear(m, pattern), pattern).data, m.data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_patterned("cube"))
+@example(case=_ONE_PIXEL)
+def test_cube_file_round_trip_is_bit_exact(tmp_path_factory, case):
+    pattern, samples = case
+    cube = SpectralCube(samples)
+    stem = write_cube(cube, tmp_path_factory.mktemp("rt") / "c", pattern=pattern)
+    assert read_cube(stem).data.tobytes() == cube.data.tobytes()
+    assert np.array_equal(read_sidecar(stem).pattern.band_at, pattern.band_at)

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._threads import map_records, parallel_map
+from ._threads import map_records
 from ._version import TOOL_VERSION
 from .core import (
     D4_OPS,
@@ -240,7 +240,7 @@ def make_pseudo_pairs(
         cube = read_cube(path)
         if cube.bands != pattern.bands:
             raise ShapeError(
-                f"source {source_id}: cube has {cube.bands} bands but pattern "
+                f"cube {path} has {cube.bands} bands but pattern "
                 f"period {pattern.period} requires {pattern.bands}"
             )
         variants = augment_cube(cube) if augment else [("identity", cube)]
@@ -265,7 +265,7 @@ def make_pseudo_pairs(
                 )
         return records
 
-    per_source = parallel_map(job, list(zip(ids, sources)))
+    per_source = map_records(job, zip(ids, sources), what="source")
     records = [r for chunk in per_source for r in chunk]
     write_manifest(records, out / manifest_name)
     return records

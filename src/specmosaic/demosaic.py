@@ -42,27 +42,31 @@ def wb_bilinear(mosaic_img: MosaicImage, pattern: SfaPattern) -> SpectralCube:
     """Demosaic by per-band bilinear interpolation over each band's lattice.
 
     Weights are computed in double precision and the result is rounded to
-    cube precision, so lattice sites reproduce their mosaic sample bit-exactly
-    and ``remosaic(wb_bilinear(m), pattern) == m``.
+    cube precision. Lattice sites are copied from the mosaic, so they keep
+    their samples bit-exactly (``-0.0`` included) and
+    ``remosaic(wb_bilinear(m), pattern) == m`` byte for byte.
     """
     h, w = mosaic_img.height, mosaic_img.width
     p = pattern.period
     m = mosaic_img.data
     out = np.empty((pattern.bands, h, w), dtype=np.float32)
-    for band in range(pattern.bands):
-        lat = pattern.lattice_of(band)
-        grid = m[lat.offset_row :: p, lat.offset_col :: p].astype(np.float64)
-        nr, nc = grid.shape
-        if nr == 0 or nc == 0:
-            raise DegenerateInputError(
-                f"band {band} has no lattice sites inside a {h}x{w} mosaic "
-                f"(offsets ({lat.offset_row}, {lat.offset_col}), period {p})"
-            )
-        ia, ib, tu = _axis_coords(h, lat.offset_row, p, nr)
-        ja, jb, tv = _axis_coords(w, lat.offset_col, p, nc)
-        # Interpolate along columns at every lattice row, then along rows.
-        left = grid[:, ja]
-        rows = left + tv[None, :] * (grid[:, jb] - left)
-        low = rows[ia, :]
-        out[band] = (low + tu[:, None] * (rows[ib, :] - low)).astype(np.float32)
+    # Bands on one row (column) offset share their row (column) coordinates.
+    col_coords = [_axis_coords(w, j, p, len(range(j, w, p))) for j in range(p)]
+    for i in range(p):
+        ia, ib, tu = _axis_coords(h, i, p, len(range(i, h, p)))
+        for j, (ja, jb, tv) in enumerate(col_coords):
+            band = pattern.band_at_cell(i, j)
+            grid = m[i::p, j::p].astype(np.float64)
+            if grid.size == 0:
+                raise DegenerateInputError(
+                    f"band {band} has no lattice sites inside a {h}x{w} mosaic "
+                    f"(offsets ({i}, {j}), period {p})"
+                )
+            # Interpolate along columns at every lattice row, then along rows.
+            left = grid[:, ja]
+            rows = left + tv[None, :] * (grid[:, jb] - left)
+            low = rows[ia, :]
+            out[band] = (low + tu[:, None] * (rows[ib, :] - low)).astype(np.float32)
+            # The lerp turns a -0.0 sample into +0.0; copy the sites as stored.
+            out[band, i::p, j::p] = m[i::p, j::p]
     return SpectralCube(out)

@@ -22,9 +22,9 @@ reads back as a missing sidecar (:class:`FormatError`), never as a payload
 beside a stale sidecar.
 
 Every reader fails on a missing or malformed file with :class:`FormatError`
-naming the file (a failed sidecar check names only the check), or with
-:class:`ValidationError` on NaN/Inf samples. Integer fields must be JSON
-integers: ``2.0``, ``"2"`` and ``true`` are rejected, not coerced.
+naming the file, or with :class:`ValidationError` on NaN/Inf samples.
+Integer fields must be JSON integers: ``2.0``, ``"2"`` and ``true`` are
+rejected, not coerced.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,22 +104,23 @@ class CubeSidecar:
     interleave: str = "bsq"
     pattern: SfaPattern | None = None
     wavelengths_nm: tuple[float, ...] | None = None
+    what: InitVar[str] = "sidecar"  # names the input in a failed check
 
-    def __post_init__(self) -> None:
-        if self.height < 1 or self.width < 1 or self.bands < 1:
-            raise FormatError(
-                f"sidecar dims must be positive, got "
-                f"{self.height}x{self.width}x{self.bands}"
-            )
-        if self.dtype != "f32le":
-            raise FormatError(f"unsupported dtype {self.dtype!r} (only f32le)")
-        if self.interleave != "bsq":
-            raise FormatError(f"unsupported interleave {self.interleave!r} (only bsq)")
-        if self.wavelengths_nm is not None and len(self.wavelengths_nm) != self.bands:
-            raise FormatError(
-                f"wavelengths_nm has {len(self.wavelengths_nm)} entries "
-                f"for {self.bands} bands"
-            )
+    def __post_init__(self, what: str) -> None:
+        with _as_format_error(what):
+            if self.height < 1 or self.width < 1 or self.bands < 1:
+                raise ValueError(
+                    f"dims must be positive, got {self.height}x{self.width}x{self.bands}"
+                )
+            if self.dtype != "f32le":
+                raise ValueError(f"unsupported dtype {self.dtype!r} (only f32le)")
+            if self.interleave != "bsq":
+                raise ValueError(f"unsupported interleave {self.interleave!r} (only bsq)")
+            if self.wavelengths_nm is not None and len(self.wavelengths_nm) != self.bands:
+                raise ValueError(
+                    f"wavelengths_nm has {len(self.wavelengths_nm)} entries "
+                    f"for {self.bands} bands"
+                )
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -151,6 +152,7 @@ class CubeSidecar:
                 interleave=str(d.get("interleave", "bsq")),
                 pattern=pattern,
                 wavelengths_nm=None if wl is None else tuple(float(x) for x in wl),
+                what=what,
             )
 
 

@@ -168,12 +168,17 @@ def _corr_valid(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     taps = len(kernel)
     for axis in (0, 1):
         n = out.shape[axis] - (taps - 1)
-        shape = (n, out.shape[1]) if axis == 0 else (out.shape[0], n)
-        acc = np.zeros(shape, dtype=np.float64)
         view = [slice(None), slice(None)]
-        for i, wgt in enumerate(kernel):
+
+        def tap(i: int) -> np.ndarray:
             view[axis] = slice(i, i + n)
-            acc += wgt * out[tuple(view)]
+            return kernel[i] * out[tuple(view)]
+
+        # The sum starts at the first product, not at 0.0: the two differ
+        # only where every product is -0.0, which no non-negative input gives.
+        acc = tap(0)
+        for i in range(1, taps):
+            acc += tap(i)
         out = acc
     return out
 

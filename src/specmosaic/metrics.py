@@ -89,14 +89,16 @@ def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
         x, y = af[k], bf[k]
         mx = _corr_valid(x, kernel)
         my = _corr_valid(y, kernel)
-        # Variances/covariance via E[xy] - E[x]E[y]; with x is y this makes
-        # every factor of the SSIM quotient bitwise equal to its denominator
-        # twin, so ssim(a, a) == 1.0 exactly.
-        sxx = _corr_valid(x * x, kernel) - mx * mx
-        syy = _corr_valid(y * y, kernel) - my * my
-        sxy = _corr_valid(x * y, kernel) - mx * my
-        num = (2.0 * mx * my + c1) * (2.0 * sxy + c2)
-        den = (mx * mx + my * my + c1) * (sxx + syy + c2)
+        mxy = mx * my
+        mm = mx * mx + my * my
+        # Covariance via E[xy] - E[x]E[y]; the denominator needs only the sum
+        # of the variances, so x*x + y*y takes one filter pass. When x equals
+        # y, doubling is exact, so every factor of the quotient is bitwise
+        # equal to its denominator twin and ssim(a, a) == 1.0 exactly.
+        sxy = _corr_valid(x * y, kernel) - mxy
+        ss = _corr_valid(x * x + y * y, kernel) - mm
+        num = (2.0 * mxy + c1) * (2.0 * sxy + c2)
+        den = (mm + c1) * (ss + c2)
         per_band[k] = np.mean(num / den)
     return float(np.mean(per_band))
 

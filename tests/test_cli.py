@@ -333,3 +333,15 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, command, name, cont
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_pairs_sidecar_check_names_source_and_file(tmp_path):
+    side = _write_const_cube(tmp_path / "cubes" / "a", [0.5] * 4, h=8, w=8).with_suffix(".json")
+    doc = json.loads(side.read_text())
+    doc["dtype"] = "f64le"
+    side.write_text(json.dumps(doc))
+    proc = _run_module("pairs", tmp_path / "cubes", "--pattern", "2x2", "-o", tmp_path / "out")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: source 0: ")
+    assert f"sidecar {side}: unsupported dtype 'f64le'" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -178,21 +178,41 @@ def test_blur_radius_larger_than_map():
 # ---------------------------------------------- frequency_variation_map
 
 
-def test_zero_law_identical_cubes():
-    rng = np.random.default_rng(43)
-    c = SpectralCube(rng.uniform(0, 1, (3, 16, 16)).astype(np.float32))
-    fv = frequency_variation_map(c, c)
-    assert not fv.values.any()
-    assert (fv.dc_row, fv.dc_col) == (8, 8)
+_fv_cases = dict(
+    bands=st.integers(1, 4),
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
-def test_symmetry_bit_exact():
-    rng = np.random.default_rng(44)
-    a = SpectralCube(rng.uniform(0, 1, (2, 12, 12)).astype(np.float32))
-    b = SpectralCube(rng.uniform(0, 1, (2, 12, 12)).astype(np.float32))
+def _cube_pair(bands, h, w, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0, 1, (2, bands, h, w)).astype(np.float32)
+    return SpectralCube(a), SpectralCube(b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**_fv_cases)
+@example(bands=3, h=16, w=16, seed=43)
+@example(bands=2, h=5, w=6, seed=0)  # sides at and just above the blur radius
+@example(bands=1, h=11, w=12, seed=1)  # one blur kernel across
+def test_zero_law_identical_cubes(bands, h, w, seed):
+    a, _ = _cube_pair(bands, h, w, seed)
+    fv = frequency_variation_map(a, SpectralCube(a.data.copy()))
+    assert fv.values.tobytes() == np.zeros((h, w)).tobytes()
+    assert (fv.dc_row, fv.dc_col) == (h // 2, w // 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**_fv_cases)
+@example(bands=2, h=12, w=12, seed=44)
+@example(bands=2, h=5, w=6, seed=0)
+@example(bands=1, h=11, w=12, seed=1)
+def test_symmetry_bit_exact(bands, h, w, seed):
+    a, b = _cube_pair(bands, h, w, seed)
     ab = frequency_variation_map(a, b).values
-    ba = frequency_variation_map(b, a).values
-    assert ab.tobytes() == ba.tobytes()
+    assert ab.tobytes() == frequency_variation_map(b, a).values.tobytes()
 
 
 def test_bandpass_support():

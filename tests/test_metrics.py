@@ -154,6 +154,20 @@ def test_ssim_identity_property(bands, h, w, seed):
     assert ssim(a, a) == 1.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    bands=st.integers(1, 4),
+    h=st.integers(11, 40),
+    w=st.integers(11, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ssim_symmetry_property(bands, h, w, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0, 1, (2, bands, h, w)).astype(np.float32)
+    assert ssim(a, b) == ssim(b, a)
+    assert ssim(a, a.copy()) == 1.0  # equal values, not only the same object
+
+
 def test_ssim_matches_windowed_oracle():
     rng = np.random.default_rng(56)
     for _ in range(5):

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .core import FormatError, SpecmosaicError
 
-__all__ = ["worker_count", "parallel_map", "map_records"]
+__all__ = ["worker_count", "parallel_map", "map_records", "map_pairs"]
 
 _ENV_VAR = "SPECMOSAIC_THREADS"
 
@@ -96,22 +96,36 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
 
 
 def map_records(
-    fn: Callable[[T], R], items: Iterable[T], what: str = "record"
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    what: str | Callable[[T], str] = "record",
 ) -> list[R]:
     """:func:`parallel_map` that names the failing item.
 
     A :class:`SpecmosaicError` from ``fn`` is re-raised as the same type
     prefixed with ``"{what} {i}: "``; an ``OSError`` becomes a
-    :class:`FormatError` with that prefix.
+    :class:`FormatError` with that prefix; ``what`` may be a function of the
+    failing item.
     """
 
     def job(item: tuple[int, T]) -> R:
         i, x = item
         try:
             return fn(x)
-        except SpecmosaicError as e:
-            raise type(e)(f"{what} {i}: {e}") from e
-        except OSError as e:
-            raise FormatError(f"{what} {i}: {e}") from e
+        except (SpecmosaicError, OSError) as e:
+            word = what if isinstance(what, str) else what(x)
+            kind = type(e) if isinstance(e, SpecmosaicError) else FormatError
+            raise kind(f"{word} {i}: {e}") from e
 
     return parallel_map(job, list(enumerate(items)))
+
+
+def map_pairs(
+    fn: Callable[[T, T], R], items: Iterable[tuple[T, T] | Callable[[], tuple[T, T]]]
+) -> list[R]:
+    """:func:`map_records` of ``fn(a, b)`` over pairs given in memory or as
+    loaders. A loader runs in the worker, so the caller holds loaders, not
+    arrays; a failure reads ``record i`` for a loader, ``pair i`` otherwise.
+    """
+    return map_records(lambda x: fn(*(x() if callable(x) else x)), items,
+                       what=lambda x: "record" if callable(x) else "pair")

@@ -16,21 +16,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ._threads import map_records
 from ._version import TOOL_VERSION
 from .core import DegenerateInputError, FormatError, SpecmosaicError, SpectralCube
 from .core import _as_format_error
 from .dataset import (
     MANIFEST_NAME,
     filter_hard,
-    load_record,
     make_pseudo_pairs,
     patchify,
     read_manifest,
+    record_pair,
 )
 from .demosaic import wb_bilinear
 from .fileio import (
@@ -44,7 +44,7 @@ from .fileio import (
     write_mosaic,
 )
 from .freqsel import FreqParams, SelectionParams, frequency_variation_map
-from .metrics import report_from_triples, score_pair
+from .metrics import evaluate_dataset
 from .sfa import mosaic as sfa_mosaic
 
 __all__ = ["cli_dispatch", "main"]
@@ -127,51 +127,40 @@ def _cmd_fvmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metric_pairs_from_manifest(path: Path, clamp: bool):
-    def job(rec):
-        ref, mosaic_img, pattern = load_record(path.parent, rec)
-        return score_pair(_clamped(wb_bilinear(mosaic_img, pattern), clamp), ref)
-
-    return map_records(job, read_manifest(path))
-
-
-def _metric_pairs_from_list(path: Path, clamp: bool):
-    with _as_format_error(f"pair list {path}"):
-        text = path.read_text(encoding="utf-8")
-    lines = [
-        (n, line.strip())
-        for n, line in enumerate(text.splitlines())
-        if line.strip() and not line.strip().startswith("#")
-    ]
-
-    def job(item):
-        n, line = item
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(
-                f"{path} line {n + 1}: expected '<recon> <ref>', got {line!r}"
-            )
-        return score_pair(_clamped(read_cube(parts[0]), clamp), read_cube(parts[1]))
-
-    return map_records(job, lines)
-
-
 def _clamped(recon: SpectralCube, clamp: bool) -> SpectralCube:
     return SpectralCube(np.clip(recon.data, 0.0, 1.0)) if clamp else recon
 
 
+def _manifest_pair(base: Path, clamp: bool, rec):
+    ref, recon = record_pair(base, rec)
+    return _clamped(recon, clamp), ref
+
+
+def _listed_pair(path: Path, clamp: bool, n: int, line: str):
+    parts = line.split()
+    if len(parts) != 2:
+        raise FormatError(f"{path} line {n + 1}: expected '<recon> <ref>', got {line!r}")
+    return _clamped(read_cube(parts[0]), clamp), read_cube(parts[1])
+
+
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    path = Path(args.input)
+    path, clamp = Path(args.input), args.clamp
     with _as_format_error(f"input {path}"), path.open(encoding="utf-8") as f:
         head = next((ln.strip() for ln in f if ln.strip()), "")
     if path.suffix == ".jsonl" or head.startswith("{"):
-        triples = _metric_pairs_from_manifest(path, args.clamp)
+        loaders = [partial(_manifest_pair, path.parent, clamp, rec) for rec in read_manifest(path)]
     else:
-        triples = _metric_pairs_from_list(path, args.clamp)
-    report = report_from_triples(triples, peak=1.0)
+        with _as_format_error(f"pair list {path}"):
+            text = path.read_text(encoding="utf-8")
+        loaders = [
+            partial(_listed_pair, path, clamp, n, line.strip())
+            for n, line in enumerate(text.splitlines())
+            if line.strip() and not line.strip().startswith("#")
+        ]
+    report = evaluate_dataset(loaders)
     _atomic_write_bytes(Path(args.output), report.to_json().encode("utf-8"))
     print(
-        f"{len(triples)} pairs: psnr {report.mean_psnr:.4f} dB, "
+        f"{len(report.per_image)} pairs: psnr {report.mean_psnr:.4f} dB, "
         f"ssim {report.mean_ssim:.6f}, sam {report.mean_sam:.6f} deg"
     )
     return 0

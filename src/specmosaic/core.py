@@ -102,6 +102,20 @@ def _json_int(value: object) -> int:
     return value
 
 
+def _json_str(value: object) -> str:
+    """``value`` if it is a JSON string; a number, bool or null raises."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _json_float(value: object) -> float:
+    """``value`` as a float if it is a finite JSON number; a bool or string raises."""
+    if type(value) not in (int, float) or not np.isfinite(float(value)):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _frozen_f32(data: np.ndarray, ndim: int, what: str) -> np.ndarray:
     arr = np.asarray(data)
     if arr.ndim != ndim:
@@ -337,17 +351,6 @@ def crop_aligned(cube: SpectralCube, origin: PatchOrigin, period: int) -> Spectr
     return SpectralCube(window.copy())
 
 
-D4_OPS = (
-    "identity",
-    "rot90cw",
-    "rot180",
-    "rot270cw",
-    "flip_h",
-    "flip_v",
-    "transpose",
-    "anti_transpose",
-)
-
 D4_INVERSE = {
     "identity": "identity",
     "rot90cw": "rot270cw",
@@ -358,6 +361,8 @@ D4_INVERSE = {
     "transpose": "transpose",
     "anti_transpose": "anti_transpose",
 }
+#: The 8 square symmetries, in augmentation order.
+D4_OPS = tuple(D4_INVERSE)
 
 # Spatial index maps, applied identically to every band. With out = f(x):
 #   rot90cw:        out[u, v] = x[H-1-v, u]      (top row becomes right column)

@@ -10,17 +10,20 @@ relative to the manifest's own directory, one record per line:
     {"mosaic": str, "cube": str, "source": str, "origin": [row, col],
      "aug": str, "hard": bool|null, "count": int|null}
 
-``filter_hard`` then scores each record's (label, bilinear reconstruction)
-pair with the frequency-domain detector and keeps only the hard ones,
-yielding a subsequence of the input manifest.
+A record is scored as the pair :func:`record_pair` returns: its label cube
+and the bilinear reconstruction of its own mosaic. ``filter_hard`` runs the
+frequency-domain detector over one such loader per record and keeps only the
+hard ones, yielding a subsequence of the input manifest; ``specmosaic
+metrics`` scores the same pairs.
 
 Augmentation happens on label cubes *before* re-sampling: rotating a mosaic
 directly would permute the filter pattern under the data, whereas
 augment-then-remosaic keeps every emitted pair on the canonical pattern.
 
-Record processing parallelizes under the ``SPECMOSAIC_THREADS`` cap; files
-are written atomically and manifests in input order, so outputs are
-byte-identical for any worker count.
+Record processing parallelizes under the ``SPECMOSAIC_THREADS`` cap, with
+each record loaded inside its worker; files are written atomically and
+manifests in input order, so outputs are byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import os
 import warnings
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,6 +50,7 @@ from .core import (
     SpectralCube,
     _as_format_error,
     _json_int,
+    _json_str,
     crop_aligned,
     transform_d4,
 )
@@ -59,13 +64,7 @@ from .fileio import (
     _atomic_write_bytes,
     _read_cube_with_sidecar,
 )
-from .freqsel import (
-    FreqParams,
-    PatchVerdict,
-    SelectionParams,
-    classify_patch,
-    frequency_variation_map,
-)
+from .freqsel import FreqParams, SelectionParams, select_hard
 from .sfa import remosaic
 
 __all__ = [
@@ -75,6 +74,7 @@ __all__ = [
     "make_pseudo_pairs",
     "filter_hard",
     "load_record",
+    "record_pair",
     "read_manifest",
     "write_manifest",
     "MANIFEST_NAME",
@@ -112,11 +112,11 @@ class PairRecord:
             if hard is not None and type(hard) is not bool:
                 raise TypeError(f"hard must be true, false or null, got {hard!r}")
             return cls(
-                mosaic=str(doc["mosaic"]),
-                cube=str(doc["cube"]),
-                source=str(doc["source"]),
+                mosaic=_json_str(doc["mosaic"]),
+                cube=_json_str(doc["cube"]),
+                source=_json_str(doc["source"]),
                 origin=(_json_int(row), _json_int(col)),
-                aug=str(doc["aug"]),
+                aug=_json_str(doc["aug"]),
                 hard=hard,
                 count=None if doc.get("count") is None else _json_int(doc["count"]),
             )
@@ -282,6 +282,13 @@ def load_record(
     return cube, read_mosaic(Path(base) / rec.mosaic), side.pattern
 
 
+def record_pair(base: str | Path, rec: PairRecord) -> tuple[SpectralCube, SpectralCube]:
+    """The pair a record is scored on: its label cube and the bilinear
+    reconstruction of its own mosaic (read with :func:`load_record`)."""
+    cube, mosaic_img, pattern = load_record(base, rec)
+    return cube, wb_bilinear(mosaic_img, pattern)
+
+
 def filter_hard(
     manifest_path: str | Path,
     fparams: FreqParams | None = None,
@@ -291,30 +298,22 @@ def filter_hard(
 ) -> list[PairRecord]:
     """Keep only the hard records of a manifest.
 
-    Every record is scored with the frequency-variation detector on its label
-    cube against the bilinear reconstruction of its mosaic (see
-    :func:`load_record`). The filtered manifest — a subsequence of the input,
-    with ``hard`` and ``count`` filled in and paths rebased onto its own
+    Runs :func:`~specmosaic.freqsel.select_hard` over one loader per record,
+    each returning the record's :func:`record_pair`, so a failure names
+    ``record i``. The filtered manifest — a subsequence of the input, with
+    ``hard`` and ``count`` filled in and paths rebased onto its own
     directory — is written to ``out_path``, and a full per-record verdict
     sidecar to ``out_path + ".verdicts.json"``. Returns the surviving records.
     """
     fparams = fparams or FreqParams()
     sparams = sparams or SelectionParams()
-    manifest_path = Path(manifest_path)
     records = read_manifest(manifest_path)
-    base = manifest_path.parent
-    out_path = Path(out_path)
-    out_dir = out_path.parent
-
-    def job(rec: PairRecord) -> PatchVerdict:
-        cube, mosaic_img, pattern = load_record(base, rec)
-        fv = frequency_variation_map(cube, wb_bilinear(mosaic_img, pattern), fparams)
-        return classify_patch(fv, sparams)
-
-    verdicts = map_records(job, records)
+    base = Path(manifest_path).parent
+    loaders = [partial(record_pair, base, rec) for rec in records]
+    verdicts = select_hard(loaders, fparams, sparams).verdicts
 
     def rebase(rel: str) -> str:
-        return os.path.relpath(base / rel, out_dir)
+        return os.path.relpath(base / rel, Path(out_path).parent)
 
     kept = [
         replace(rec, mosaic=rebase(rec.mosaic), cube=rebase(rec.cube),

@@ -23,8 +23,9 @@ beside a stale sidecar.
 
 Every reader fails on a missing or malformed file with :class:`FormatError`
 naming the file, or with :class:`ValidationError` on NaN/Inf samples.
-Integer fields must be JSON integers: ``2.0``, ``"2"`` and ``true`` are
-rejected, not coerced.
+Fields must have their JSON types: an integer field rejects ``2.0``, ``"2"``
+and ``true``, a string field rejects ``5`` and ``null``, and a wavelength
+must be a finite number, not ``true``, ``"450"`` or ``NaN``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ from .core import (
     SpectralCube,
     ValidationError,
     _as_format_error,
+    _json_float,
     _json_int,
+    _json_str,
     validate_cube,
 )
 from .freqsel import FrequencyVariationMap
@@ -148,10 +151,10 @@ class CubeSidecar:
             wl = d.get("wavelengths_nm")
             return cls(
                 *(_json_int(d[k]) for k in ("height", "width", "bands")),
-                dtype=str(d.get("dtype", "f32le")),
-                interleave=str(d.get("interleave", "bsq")),
+                dtype=_json_str(d.get("dtype", "f32le")),
+                interleave=_json_str(d.get("interleave", "bsq")),
                 pattern=pattern,
-                wavelengths_nm=None if wl is None else tuple(float(x) for x in wl),
+                wavelengths_nm=None if wl is None else tuple(_json_float(x) for x in wl),
                 what=what,
             )
 

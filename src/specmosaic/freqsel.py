@@ -24,11 +24,11 @@ independent of worker scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from ._threads import map_records
+from ._threads import map_pairs
 from .core import ShapeError, SpectralCube
 
 __all__ = [
@@ -241,23 +241,23 @@ def classify_patch(
 
 
 def select_hard(
-    pairs: Iterable[tuple[SpectralCube, SpectralCube]],
+    pairs: Iterable[tuple[SpectralCube, SpectralCube] | Callable],
     fparams: FreqParams | None = None,
     sparams: SelectionParams | None = None,
 ) -> SelectionReport:
     """Classify every (reference, comparison) pair and report the hard ones.
 
-    Verdicts keep input order; pairs are processed in parallel under the
-    ``SPECMOSAIC_THREADS`` cap with a schedule-independent result. A
-    malformed pair aborts the run with its index.
+    Each item is a pair or a zero-argument loader of one, called in the
+    worker. Verdicts keep input order under any ``SPECMOSAIC_THREADS`` cap. A
+    failure aborts the run as ``pair i`` (in memory) or ``record i`` (loader).
     """
     fparams = fparams or FreqParams()
     sparams = sparams or SelectionParams()
 
-    def job(pair: tuple[SpectralCube, SpectralCube]) -> PatchVerdict:
-        return classify_patch(frequency_variation_map(*pair, fparams), sparams)
+    def job(ref: SpectralCube, comp: SpectralCube) -> PatchVerdict:
+        return classify_patch(frequency_variation_map(ref, comp, fparams), sparams)
 
-    verdicts = tuple(map_records(job, pairs, what="pair"))
+    verdicts = tuple(map_pairs(job, pairs))
     hard = tuple(i for i, v in enumerate(verdicts) if v.is_hard)
     return SelectionReport(verdicts=verdicts, hard_indices=hard)
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from ._threads import map_records
+from ._threads import map_pairs
 from ._version import TOOL_VERSION
 from .core import DegenerateInputError, ShapeError, SpectralCube
 from .freqsel import _corr_valid, _gauss_kernel
@@ -147,24 +147,6 @@ class MetricReport:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
-def report_from_triples(
-    triples: Sequence[tuple[float, float, float]], peak: float = 1.0
-) -> MetricReport:
-    """Assemble a report from already-computed (psnr, ssim, sam) triples."""
-    if len(triples) == 0:
-        raise DegenerateInputError("cannot aggregate an empty metric sequence")
-    per_image = tuple(
-        ImageMetrics(index=i, psnr=p, ssim=s, sam=g) for i, (p, s, g) in enumerate(triples)
-    )
-    return MetricReport(
-        per_image=per_image,
-        mean_psnr=float(np.mean([m.psnr for m in per_image])),
-        mean_ssim=float(np.mean([m.ssim for m in per_image])),
-        mean_sam=float(np.mean([m.sam for m in per_image])),
-        peak=peak,
-    )
-
-
 def score_pair(
     recon: SpectralCube | np.ndarray,
     ref: SpectralCube | np.ndarray,
@@ -177,14 +159,20 @@ def score_pair(
 
 
 def evaluate_dataset(
-    pairs: Iterable[tuple[SpectralCube | np.ndarray, SpectralCube | np.ndarray]],
+    pairs: Iterable[tuple[SpectralCube | np.ndarray, SpectralCube | np.ndarray] | Callable],
     peak: float = 1.0,
 ) -> MetricReport:
     """Score every (reconstruction, reference) pair and average the results.
 
-    Pairs are scored in parallel under the ``SPECMOSAIC_THREADS`` cap and
-    reported in input order; a failure on any pair is re-raised with that
-    pair's index attached.
+    Each item is a pair or a zero-argument loader of one, called in the
+    worker. Scores keep input order under any ``SPECMOSAIC_THREADS`` cap. A
+    failure aborts the run as ``pair i`` (in memory) or ``record i`` (loader).
     """
-    triples = map_records(lambda pair: score_pair(*pair, peak), pairs, what="pair")
-    return report_from_triples(triples, peak)
+    triples = map_pairs(lambda recon, ref: score_pair(recon, ref, peak), pairs)
+    if not triples:
+        raise DegenerateInputError("cannot aggregate an empty metric sequence")
+    psnrs, ssims, sams = zip(*triples)
+    return MetricReport(
+        tuple(ImageMetrics(i, *t) for i, t in enumerate(triples)),
+        float(np.mean(psnrs)), float(np.mean(ssims)), float(np.mean(sams)), peak,
+    )

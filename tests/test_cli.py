@@ -225,6 +225,29 @@ def test_metrics_clamp_flag(tmp_path, capsys):
     assert abs(clamped["mean_psnr"] - 10 * math.log10(4.0)) < 1e-9
 
 
+def test_metrics_pair_list_report_identical_at_one_and_two_workers(
+    tmp_path, capsys, monkeypatch
+):
+    rng = np.random.default_rng(104)
+    lines = ["# recon ref"]
+    for i in range(6):
+        ref = rng.uniform(0, 1, (3, 16, 16)).astype(np.float32)
+        recon = (ref + rng.normal(0, 0.05, ref.shape)).astype(np.float32)
+        r = write_cube(SpectralCube(ref), tmp_path / f"ref{i}")
+        c = write_cube(SpectralCube(recon), tmp_path / f"recon{i}")
+        lines.append(f"{c}.bsq {r}.bsq")
+    pair_list = tmp_path / "pairs.txt"
+    pair_list.write_text("\n".join(lines) + "\n")
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
+        out = tmp_path / f"report{threads}.json"
+        assert run(capsys, "metrics", pair_list, "--clamp", "-o", out)[0] == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert len(json.loads(reports[0])["per_image"]) == 6
+
+
 def test_metrics_bad_pair_line_reports_index(tmp_path, capsys):
     pair_list = tmp_path / "pairs.txt"
     pair_list.write_text("only-one-field\n")

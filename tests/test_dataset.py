@@ -167,7 +167,8 @@ _GOOD_LINE = PairRecord("m.bsq", "c.bsq", "s", (0, 0), "identity").to_json_line(
 @pytest.mark.parametrize(
     "field, value",
     [("origin", [0.5, 0]), ("origin", [True, 0]), ("origin", [0, 0, 0]), ("count", 1.0),
-     ("hard", "no"), ("hard", 1)],
+     ("hard", "no"), ("hard", 1), ("mosaic", 5), ("cube", ["c.bsq"]), ("source", None),
+     ("aug", True)],
 )
 def test_record_fields_are_not_coerced(field, value):
     line = json.dumps({**json.loads(_GOOD_LINE), field: value})

@@ -384,6 +384,8 @@ def test_fuzz_pgm16_valid_header_random_payload(tmp_path_factory, width, height,
 @example(doc={"height": 1, "width": 1, "bands": 1, "pattern": {"period": 1e400}})
 @example(doc={"height": 1, "width": 1, "bands": 1, "wavelengths_nm": [10**400]})
 @example(doc={"height": 1, "width": 1, "bands": 1, "pattern": {"period": 1, "band_at": [2**64]}})
+@example(doc={"height": 1, "width": 1, "bands": 2, "wavelengths_nm": [True, "450"]})
+@example(doc={"height": 1, "width": 1, "bands": 1, "wavelengths_nm": [float("nan")]})
 def test_fuzz_sidecar_from_dict(doc):
     _only_format_error(CubeSidecar.from_dict, doc)
 
@@ -442,6 +444,22 @@ def test_unreadable_inputs_fail_with_format_error(tmp_path):
 def test_sidecar_integer_fields_must_be_json_integers(doc):
     with pytest.raises(FormatError, match="expected an integer"):
         CubeSidecar.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("wavelengths_nm", [True], "finite number"),
+        ("wavelengths_nm", ["450"], "finite number"),
+        ("wavelengths_nm", [float("nan")], "finite number"),
+        ("wavelengths_nm", [float("inf")], "finite number"),
+        ("dtype", 5, "string"),
+        ("interleave", None, "string"),
+    ],
+)
+def test_sidecar_fields_are_not_coerced(field, value, expected):
+    with pytest.raises(FormatError, match=f"expected a {expected}, got"):
+        CubeSidecar.from_dict({"height": 1, "width": 1, "bands": 1, field: value})
 
 
 def test_pattern_file_band_at_must_be_json_integers(tmp_path):

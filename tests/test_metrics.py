@@ -17,7 +17,6 @@ from specmosaic import (
     sam,
     ssim,
 )
-from specmosaic.metrics import report_from_triples
 
 # ---------------------------------------------------------------- oracles
 
@@ -275,7 +274,7 @@ def test_evaluate_dataset_error_names_pair_index():
 
 def test_empty_report_rejected():
     with pytest.raises(DegenerateInputError):
-        report_from_triples([])
+        evaluate_dataset([])
 
 
 def test_report_json_round_trip_with_infinity():

@@ -154,18 +154,44 @@ def _cube_pairs(draw):
     return pairs
 
 
+def _loaders(pairs):
+    return [lambda p=p: p for p in pairs]
+
+
 @needs_two_cpus
 @settings(max_examples=20, deadline=None)
 @given(pairs=_cube_pairs(), t_var=st.floats(0.0, 2.0))
 def test_results_identical_at_one_and_two_workers(pairs, t_var):
     sparams = SelectionParams(t_var=t_var, t_cnt=0)
+    swapped = [(b, a) for a, b in pairs]
     runs = []
     for n in (1, 2):
         with _workers(n):
+            runs.append((select_hard(pairs, sparams=sparams), evaluate_dataset(swapped)))
             runs.append(
                 (
-                    select_hard(pairs, sparams=sparams),
-                    evaluate_dataset([(b, a) for a, b in pairs]),
+                    select_hard(_loaders(pairs), sparams=sparams),
+                    evaluate_dataset(_loaders(swapped)),
                 )
             )
-    assert runs[0] == runs[1]
+    assert all(run == runs[0] for run in runs)  # in memory and loaded, at 1 and 2 workers
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_loader_failures_read_record_and_pair_failures_read_pair(monkeypatch, threads):
+    monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
+    a = SpectralCube(np.full((4, 16, 16), 0.5, dtype=np.float32))
+    bad = SpectralCube(np.full((4, 16, 17), 0.5, dtype=np.float32))
+
+    def unreadable():
+        raise OSError("c.bsq: unreadable")
+
+    for batch in (select_hard, evaluate_dataset):
+        with pytest.raises(FormatError, match=r"^record 1: c\.bsq: unreadable$"):
+            batch([lambda: (a, a), unreadable])
+        with pytest.raises(FormatError, match=r"^record 1: "):
+            batch([(a, a), unreadable])
+        with pytest.raises(ShapeError, match=r"^pair 1: "):
+            batch([(a, a), (a, bad)])
+        with pytest.raises(ShapeError, match=r"^record 1: "):
+            batch([(a, a), lambda: (a, bad)])

@@ -26,6 +26,7 @@ from .core import DegenerateInputError, FormatError, SpecmosaicError, SpectralCu
 from .core import _as_format_error
 from .dataset import (
     MANIFEST_NAME,
+    _patch_stride,
     filter_hard,
     make_pseudo_pairs,
     patchify,
@@ -148,15 +149,19 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     with _as_format_error(f"input {path}"), path.open(encoding="utf-8") as f:
         head = next((ln.strip() for ln in f if ln.strip()), "")
     if path.suffix == ".jsonl" or head.startswith("{"):
+        form = "manifest"
         loaders = [partial(_manifest_pair, path.parent, clamp, rec) for rec in read_manifest(path)]
     else:
-        with _as_format_error(f"pair list {path}"):
+        form = "pair list"
+        with _as_format_error(f"{form} {path}"):
             text = path.read_text(encoding="utf-8")
         loaders = [
             partial(_listed_pair, path, clamp, n, line.strip())
             for n, line in enumerate(text.splitlines())
             if line.strip() and not line.strip().startswith("#")
         ]
+    if not loaders:
+        raise DegenerateInputError(f"{form} {path} has no pairs to score")
     report = evaluate_dataset(loaders)
     _atomic_write_bytes(Path(args.output), report.to_json().encode("utf-8"))
     print(
@@ -167,10 +172,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_patchify(args: argparse.Namespace) -> int:
+    stride = _patch_stride(*args.patch, args.stride)
     pattern = load_pattern_spec(args.pattern)
     cube = read_cube(args.cube)
-    stride = args.stride if args.stride is not None else args.patch[0]
-    pieces = patchify(cube, args.patch[0], args.patch[1], stride, pattern.period)
+    pieces = patchify(cube, *args.patch, stride, pattern.period)
     out = Path(args.output)
     stem = cube_stem(args.cube).name
     for origin, piece in pieces:
@@ -208,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit all square-symmetry variants of each cube")
     p.add_argument("--patch", nargs=2, type=int, metavar=("H", "W"))
     p.add_argument("--stride", type=int, default=None,
-                   help="window stride (default: patch size)")
+                   help="window stride (default: side of a square patch)")
     p.add_argument("-o", "--output", required=True, help="output dataset directory")
     p.set_defaults(func=_cmd_pairs)
 
@@ -241,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("cube")
     p.add_argument("--patch", nargs=2, type=int, metavar=("H", "W"), required=True)
     p.add_argument("--stride", type=int, default=None,
-                   help="window stride (default: patch height)")
+                   help="window stride (default: side of a square patch)")
     p.add_argument("--pattern", required=True, help="NxN or pattern JSON path")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=_cmd_patchify)

@@ -59,10 +59,10 @@ from .fileio import (
     cube_stem,
     read_cube,
     read_mosaic,
+    read_sidecar,
     write_cube,
     write_mosaic,
     _atomic_write_bytes,
-    _read_cube_with_sidecar,
 )
 from .freqsel import FreqParams, SelectionParams, select_hard
 from .sfa import remosaic
@@ -141,6 +141,16 @@ def read_manifest(path: str | Path) -> list[PairRecord]:
     return records
 
 
+def _patch_stride(patch_h: int, patch_w: int, stride: int | None) -> int:
+    """``stride`` if given, else the side of a square patch (non-overlapping
+    tiles); a non-square patch has no default stride."""
+    if stride is not None:
+        return stride
+    if patch_h != patch_w:
+        raise AlignmentError(f"non-square patch {patch_h}x{patch_w} needs an explicit stride")
+    return patch_h
+
+
 def patchify(
     cube: SpectralCube, patch_h: int, patch_w: int, stride: int, period: int
 ) -> list[tuple[PatchOrigin, SpectralCube]]:
@@ -203,7 +213,6 @@ def make_pseudo_pairs(
     patch: tuple[int, int] | None = None,
     stride: int | None = None,
     augment: bool = False,
-    manifest_name: str = MANIFEST_NAME,
 ) -> list[PairRecord]:
     """Build the pseudo-paired dataset from label cube files.
 
@@ -211,7 +220,7 @@ def make_pseudo_pairs(
     for each resulting label patch write the patch cube plus the mosaic
     re-sampled from it, both carrying the pattern in their sidecars. Paths in
     the returned records (and the manifest written to
-    ``out_dir/manifest_name``) are relative to ``out_dir``. Re-reading any
+    ``out_dir/MANIFEST_NAME``) are relative to ``out_dir``. Re-reading any
     record and re-sampling its cube reproduces its mosaic bit-exactly.
 
     ``stride`` defaults to the patch height/width when omitted
@@ -221,12 +230,7 @@ def make_pseudo_pairs(
     out.mkdir(parents=True, exist_ok=True)
     if patch is not None:
         patch_h, patch_w = int(patch[0]), int(patch[1])
-        if stride is None:
-            if patch_h != patch_w:
-                raise AlignmentError(
-                    f"non-square patch {patch_h}x{patch_w} needs an explicit stride"
-                )
-            stride = patch_h
+        stride = _patch_stride(patch_h, patch_w, stride)
     elif stride is not None:
         raise AlignmentError("a stride without a patch size is meaningless")
 
@@ -267,7 +271,7 @@ def make_pseudo_pairs(
 
     per_source = map_records(job, zip(ids, sources), what="source")
     records = [r for chunk in per_source for r in chunk]
-    write_manifest(records, out / manifest_name)
+    write_manifest(records, out / MANIFEST_NAME)
     return records
 
 
@@ -276,10 +280,11 @@ def load_record(
 ) -> tuple[SpectralCube, MosaicImage, SfaPattern]:
     """Read one manifest record's label cube and mosaic, with paths relative
     to ``base``; the pattern comes from the cube's sidecar."""
-    cube, side = _read_cube_with_sidecar(Path(base) / rec.cube)
-    if side.pattern is None:
+    cube = read_cube(Path(base) / rec.cube)
+    pattern = read_sidecar(Path(base) / rec.cube).pattern
+    if pattern is None:
         raise FormatError(f"cube sidecar for {rec.cube} carries no pattern")
-    return cube, read_mosaic(Path(base) / rec.mosaic), side.pattern
+    return cube, read_mosaic(Path(base) / rec.mosaic), pattern
 
 
 def record_pair(base: str | Path, rec: PairRecord) -> tuple[SpectralCube, SpectralCube]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,13 +98,12 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 @dataclass(frozen=True)
 class CubeSidecar:
-    """Geometry and metadata accompanying a ``.bsq`` payload."""
+    """Geometry and metadata accompanying a ``.bsq`` payload, which is always
+    little-endian float32, band-sequential (``dtype`` and ``interleave``)."""
 
     height: int
     width: int
     bands: int
-    dtype: str = "f32le"
-    interleave: str = "bsq"
     pattern: SfaPattern | None = None
     wavelengths_nm: tuple[float, ...] | None = None
     what: InitVar[str] = "sidecar"  # names the input in a failed check
@@ -115,10 +114,6 @@ class CubeSidecar:
                 raise ValueError(
                     f"dims must be positive, got {self.height}x{self.width}x{self.bands}"
                 )
-            if self.dtype != "f32le":
-                raise ValueError(f"unsupported dtype {self.dtype!r} (only f32le)")
-            if self.interleave != "bsq":
-                raise ValueError(f"unsupported interleave {self.interleave!r} (only bsq)")
             if self.wavelengths_nm is not None and len(self.wavelengths_nm) != self.bands:
                 raise ValueError(
                     f"wavelengths_nm has {len(self.wavelengths_nm)} entries "
@@ -130,8 +125,8 @@ class CubeSidecar:
             "height": self.height,
             "width": self.width,
             "bands": self.bands,
-            "dtype": self.dtype,
-            "interleave": self.interleave,
+            "dtype": "f32le",
+            "interleave": "bsq",
         }
         if self.pattern is not None:
             d["pattern"] = self.pattern.to_dict()
@@ -148,15 +143,18 @@ class CubeSidecar:
             pattern = d.get("pattern")
             if pattern is not None:
                 pattern = SfaPattern.from_dict(pattern, what=f"{what} pattern")
+            dtype = _json_str(d.get("dtype", "f32le"))
+            interleave = _json_str(d.get("interleave", "bsq"))
             wl = d.get("wavelengths_nm")
-            return cls(
-                *(_json_int(d[k]) for k in ("height", "width", "bands")),
-                dtype=_json_str(d.get("dtype", "f32le")),
-                interleave=_json_str(d.get("interleave", "bsq")),
-                pattern=pattern,
-                wavelengths_nm=None if wl is None else tuple(_json_float(x) for x in wl),
-                what=what,
-            )
+            wl = None if wl is None else tuple(_json_float(x) for x in wl)
+            dims = [_json_int(d[k]) for k in ("height", "width", "bands")]
+            # Values are checked in order: dims, dtype, interleave, wavelength count.
+            side = cls(*dims, pattern=pattern, what=what)
+            if dtype != "f32le":
+                raise ValueError(f"unsupported dtype {dtype!r} (only f32le)")
+            if interleave != "bsq":
+                raise ValueError(f"unsupported interleave {interleave!r} (only bsq)")
+            return replace(side, wavelengths_nm=wl, what=what)
 
 
 def write_cube(
@@ -199,11 +197,6 @@ def read_cube(path: str | Path) -> SpectralCube:
     Non-finite samples in the payload are rejected — files are the trust
     boundary, and every downstream kernel assumes finite data.
     """
-    return _read_cube_with_sidecar(path)[0]
-
-
-def _read_cube_with_sidecar(path: str | Path) -> tuple[SpectralCube, CubeSidecar]:
-    """:func:`read_cube` that also returns the sidecar it parsed."""
     stem = cube_stem(path)
     side = read_sidecar(stem)
     payload_path = stem.with_suffix(PAYLOAD_SUFFIX)
@@ -220,7 +213,7 @@ def _read_cube_with_sidecar(path: str | Path) -> tuple[SpectralCube, CubeSidecar
     fatal = [v for v in validate_cube(cube) if v.fatal]
     if fatal:
         raise ValidationError(f"{payload_path}: {fatal[0]}")
-    return cube, side
+    return cube
 
 
 def write_mosaic(

@@ -3,7 +3,7 @@
 All three accept either :class:`~specmosaic.core.SpectralCube` values or bare
 3D arrays laid out band-first, compute in float64, and are symmetric in their
 two image arguments. Dataset-level scores are arithmetic means of per-image
-values taken in input order (PSNR is averaged in dB).
+values taken in input order (PSNR is averaged in dB, at peak 1.0).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "psnr",
     "ssim",
     "sam",
-    "score_pair",
     "evaluate_dataset",
     "ImageMetrics",
     "MetricReport",
@@ -147,20 +146,8 @@ class MetricReport:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
-def score_pair(
-    recon: SpectralCube | np.ndarray,
-    ref: SpectralCube | np.ndarray,
-    peak: float = 1.0,
-) -> tuple[float, float, float]:
-    """The (psnr, ssim, sam) triple of one reconstruction against its
-    reference. Both are converted to float64 once, for all three metrics."""
-    af, bf = _paired(recon, ref)
-    return psnr(af, bf, peak), ssim(af, bf), sam(af, bf)
-
-
 def evaluate_dataset(
     pairs: Iterable[tuple[SpectralCube | np.ndarray, SpectralCube | np.ndarray] | Callable],
-    peak: float = 1.0,
 ) -> MetricReport:
     """Score every (reconstruction, reference) pair and average the results.
 
@@ -168,11 +155,16 @@ def evaluate_dataset(
     worker. Scores keep input order under any ``SPECMOSAIC_THREADS`` cap. A
     failure aborts the run as ``pair i`` (in memory) or ``record i`` (loader).
     """
-    triples = map_pairs(lambda recon, ref: score_pair(recon, ref, peak), pairs)
+
+    def job(recon, ref) -> tuple[float, float, float]:
+        af, bf = _paired(recon, ref)  # float64 once, for all three metrics
+        return psnr(af, bf), ssim(af, bf), sam(af, bf)
+
+    triples = map_pairs(job, pairs)
     if not triples:
         raise DegenerateInputError("cannot aggregate an empty metric sequence")
     psnrs, ssims, sams = zip(*triples)
     return MetricReport(
         tuple(ImageMetrics(i, *t) for i, t in enumerate(triples)),
-        float(np.mean(psnrs)), float(np.mean(ssims)), float(np.mean(sams)), peak,
+        float(np.mean(psnrs)), float(np.mean(ssims)), float(np.mean(sams)), 1.0,
     )

@@ -256,6 +256,19 @@ def test_metrics_bad_pair_line_reports_index(tmp_path, capsys):
     assert "record 0" in err
 
 
+@pytest.mark.parametrize("name, content, form", [
+    ("hard.jsonl", "", "manifest"),  # what select-hard writes when it keeps nothing
+    ("pairs.txt", "# recon ref\n\n", "pair list"),
+])
+def test_metrics_empty_input_names_file_and_form(tmp_path, capsys, name, content, form):
+    path = tmp_path / name
+    path.write_text(content)
+    code, _, err = run(capsys, "metrics", path, "-o", tmp_path / "r.json")
+    assert code == 1
+    assert err == f"error: {form} {path} has no pairs to score\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 # --------------------------------------------------------------- patchify
 
 
@@ -279,6 +292,24 @@ def test_patchify_writes_window_files(tmp_path, capsys):
     ]
     piece = read_cube(out / "img_r00008_c00008")
     assert piece.data.tobytes() == cube.data[:, 8:, 8:].tobytes()
+
+
+def test_patchify_stride_follows_the_pairs_rule(tmp_path, capsys):
+    cube = SpectralCube(np.zeros((4, 16, 16), dtype=np.float32))
+    write_cube(cube, tmp_path / "img")
+    args = ("--patch", "8", "4", "--pattern", "2x2")
+    code, _, err = run(capsys, "patchify", tmp_path / "img.bsq", *args, "-o", tmp_path / "p")
+    assert code == 1
+    assert err == "error: non-square patch 8x4 needs an explicit stride\n"
+    assert not (tmp_path / "p").exists()
+    code, _, err = run(capsys, "pairs", tmp_path, *args, "-o", tmp_path / "ds")
+    assert code == 1
+    assert err == "error: non-square patch 8x4 needs an explicit stride\n"
+    code, msg, _ = run(
+        capsys, "patchify", tmp_path / "img.bsq", *args, "--stride", "4", "-o", tmp_path / "p"
+    )
+    assert code == 0
+    assert msg.startswith("12 patches")  # rows 0, 4, 8 by columns 0, 4, 8, 12
 
 
 # ------------------------------------------------------- exit conventions

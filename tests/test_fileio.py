@@ -189,10 +189,10 @@ def test_written_file_mode_follows_umask(tmp_path):
 def test_sidecar_validation():
     with pytest.raises(FormatError):
         CubeSidecar(height=0, width=2, bands=1)
-    with pytest.raises(FormatError):
-        CubeSidecar(height=2, width=2, bands=1, dtype="f64le")
-    with pytest.raises(FormatError):
-        CubeSidecar(height=2, width=2, bands=1, interleave="bip")
+    with pytest.raises(FormatError, match="unsupported dtype 'f64le' \\(only f32le\\)"):
+        CubeSidecar.from_dict({"height": 2, "width": 2, "bands": 1, "dtype": "f64le"})
+    with pytest.raises(FormatError, match="unsupported interleave 'bip' \\(only bsq\\)"):
+        CubeSidecar.from_dict({"height": 2, "width": 2, "bands": 1, "interleave": "bip"})
     with pytest.raises(FormatError):
         CubeSidecar(height=2, width=2, bands=2, wavelengths_nm=(500.0,))
     with pytest.raises(FormatError):

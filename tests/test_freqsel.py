@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from specmosaic import (
     FreqParams,
@@ -291,6 +292,34 @@ def test_strict_count_and_threshold():
     # bins exactly at t_var do not count (strict >)
     at_threshold = FrequencyVariationMap(np.full((4, 4), 1.0), 2, 2)
     assert classify_patch(at_threshold, SelectionParams(1.0, 0)).count == 0
+
+
+# Map values and t_var share one grid, and t_cnt spans every count a 4x4 map
+# can reach, so bins equal to t_var and counts equal to t_cnt both occur.
+_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=4),
+                  elements=st.sampled_from(_GRID)),
+    t_vars=st.lists(st.sampled_from(_GRID), min_size=2, max_size=2).map(sorted),
+    t_cnts=st.lists(st.integers(0, 16), min_size=2, max_size=2).map(sorted),
+)
+@example(values=np.array([[1.0, 1.0], [2.0, 0.0]]), t_vars=[1.0, 1.0], t_cnts=[1, 1])
+@example(values=np.array([[1.0, 2.0]]), t_vars=[0.5, 1.0], t_cnts=[1, 1])
+def test_selection_is_monotone_in_both_thresholds(values, t_vars, t_cnts):
+    fv = FrequencyVariationMap(values, 0, 0)
+    low, high = (SelectionParams(tv, tc) for tv, tc in zip(t_vars, t_cnts))
+    v_low, v_high = classify_patch(fv, low), classify_patch(fv, high)
+    assert v_high.count <= v_low.count
+    assert v_low.is_hard or not v_high.is_hard
+    # each threshold raised on its own
+    for one in (SelectionParams(t_vars[1], t_cnts[0]), SelectionParams(t_vars[0], t_cnts[1])):
+        v = classify_patch(fv, one)
+        assert v_high.count <= v.count <= v_low.count
+        assert v_low.is_hard or not v.is_hard
+        assert v.is_hard or not v_high.is_hard
 
 
 def test_selection_params_validation():

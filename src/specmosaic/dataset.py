@@ -180,6 +180,20 @@ def patchify(
     return out
 
 
+def _augment_ops(cube: SpectralCube) -> Sequence[str]:
+    """The ops :func:`augment_cube` applies to ``cube``: all of AUGMENT_OPS
+    for a square cube, else the shape-preserving 4, with a warning."""
+    if cube.height == cube.width:
+        return AUGMENT_OPS
+    warnings.warn(
+        f"non-square cube {cube.height}x{cube.width}: emitting only the "
+        f"{len(AUGMENT_OPS_NONSQUARE)} shape-preserving variants",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return AUGMENT_OPS_NONSQUARE
+
+
 def augment_cube(cube: SpectralCube) -> list[tuple[str, SpectralCube]]:
     """All square-symmetry variants of a cube as (op name, cube) pairs.
 
@@ -187,17 +201,7 @@ def augment_cube(cube: SpectralCube) -> list[tuple[str, SpectralCube]]:
     the first being the input itself. Non-square inputs can only keep their
     shape under 4 of the 8 ops, so only those are emitted, with a warning.
     """
-    if cube.height == cube.width:
-        ops: Sequence[str] = AUGMENT_OPS
-    else:
-        ops = AUGMENT_OPS_NONSQUARE
-        warnings.warn(
-            f"non-square cube {cube.height}x{cube.width}: emitting only the "
-            f"{len(ops)} shape-preserving variants",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return [(op, transform_d4(cube, op)) for op in ops]
+    return [(op, transform_d4(cube, op)) for op in _augment_ops(cube)]
 
 
 def _record_stems(source: str, aug: str, origin: PatchOrigin) -> tuple[str, str]:
@@ -223,6 +227,9 @@ def make_pseudo_pairs(
     ``out_dir/MANIFEST_NAME``) are relative to ``out_dir``. Re-reading any
     record and re-sampling its cube reproduces its mosaic bit-exactly.
 
+    Variants are made one at a time, each cut and written before the next,
+    so a worker holds one source cube, one variant and its patches.
+
     ``stride`` defaults to the patch height/width when omitted
     (non-overlapping tiling); a non-square patch requires an explicit stride.
     """
@@ -239,6 +246,28 @@ def make_pseudo_pairs(
     if len(set(ids)) != len(ids):
         raise FormatError(f"duplicate source cube names in {sorted(ids)}")
 
+    def emit(source_id: str, aug: str, var: SpectralCube) -> list[PairRecord]:
+        # Cuts and writes one variant; it and its patches die on return.
+        if patch is not None:
+            pieces = patchify(var, patch_h, patch_w, stride, pattern.period)
+        else:
+            pieces = [(PatchOrigin(0, 0, var.height, var.width), var)]
+        records: list[PairRecord] = []
+        for origin, label in pieces:
+            cube_name, mosaic_name = _record_stems(source_id, aug, origin)
+            write_cube(label, out / cube_name, pattern=pattern)
+            write_mosaic(remosaic(label, pattern), out / mosaic_name, pattern=pattern)
+            records.append(
+                PairRecord(
+                    mosaic=mosaic_name + ".bsq",
+                    cube=cube_name + ".bsq",
+                    source=source_id,
+                    origin=(origin.row, origin.col),
+                    aug=aug,
+                )
+            )
+        return records
+
     def job(item: tuple[str, Path]) -> list[PairRecord]:
         source_id, path = item
         cube = read_cube(path)
@@ -247,26 +276,11 @@ def make_pseudo_pairs(
                 f"cube {path} has {cube.bands} bands but pattern "
                 f"period {pattern.period} requires {pattern.bands}"
             )
-        variants = augment_cube(cube) if augment else [("identity", cube)]
+        if not augment:
+            return emit(source_id, "identity", cube)
         records: list[PairRecord] = []
-        for aug, var in variants:
-            if patch is not None:
-                pieces = patchify(var, patch_h, patch_w, stride, pattern.period)
-            else:
-                pieces = [(PatchOrigin(0, 0, var.height, var.width), var)]
-            for origin, label in pieces:
-                cube_name, mosaic_name = _record_stems(source_id, aug, origin)
-                write_cube(label, out / cube_name, pattern=pattern)
-                write_mosaic(remosaic(label, pattern), out / mosaic_name, pattern=pattern)
-                records.append(
-                    PairRecord(
-                        mosaic=mosaic_name + ".bsq",
-                        cube=cube_name + ".bsq",
-                        source=source_id,
-                        origin=(origin.row, origin.col),
-                        aug=aug,
-                    )
-                )
+        for op in _augment_ops(cube):
+            records += emit(source_id, op, transform_d4(cube, op))
         return records
 
     per_source = map_records(job, zip(ids, sources), what="source")

@@ -80,7 +80,7 @@ def cube_stem(path: str | Path) -> Path:
     return p
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
+def _atomic_write_bytes(path: Path, data: bytes | memoryview) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # A random temp name per call keeps concurrent writers of one path apart,
     # and exclusive creation never opens another writer's temp file. open()
@@ -173,7 +173,8 @@ def write_cube(
         pattern=pattern,
         wavelengths_nm=wavelengths_nm,
     )
-    payload = np.ascontiguousarray(cube.data, dtype="<f4").tobytes()
+    # A byte view, not a copy; len() of the cast view is the byte count.
+    payload = memoryview(np.ascontiguousarray(cube.data, dtype="<f4")).cast("B")
     # An old sidecar must not outlive its payload: a write cut after the
     # payload then reads back as a missing sidecar, not a stale one.
     stem.with_suffix(SIDECAR_SUFFIX).unlink(missing_ok=True)
@@ -195,7 +196,10 @@ def read_cube(path: str | Path) -> SpectralCube:
     """Read a cube pair; bit-identical inverse of :func:`write_cube`.
 
     Non-finite samples in the payload are rejected — files are the trust
-    boundary, and every downstream kernel assumes finite data.
+    boundary, and every downstream kernel assumes finite data. The check is
+    one float64 sum of the samples, which cannot overflow, so it is finite
+    exactly when every sample is; only a failing read runs
+    :func:`~specmosaic.core.validate_cube` to name the samples.
     """
     stem = cube_stem(path)
     side = read_sidecar(stem)
@@ -210,8 +214,10 @@ def read_cube(path: str | Path) -> SpectralCube:
         )
     arr = np.frombuffer(raw, dtype="<f4").reshape(side.bands, side.height, side.width)
     cube = SpectralCube(np.ascontiguousarray(arr, dtype=np.float32))
-    fatal = [v for v in validate_cube(cube) if v.fatal]
-    if fatal:
+    with np.errstate(invalid="ignore"):  # +Inf plus -Inf gives NaN quietly
+        total = np.add.reduce(cube.data, axis=None, dtype=np.float64)
+    if not np.isfinite(total):
+        fatal = [v for v in validate_cube(cube) if v.fatal]
         raise ValidationError(f"{payload_path}: {fatal[0]}")
     return cube
 

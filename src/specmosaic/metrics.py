@@ -2,8 +2,11 @@
 
 All three accept either :class:`~specmosaic.core.SpectralCube` values or bare
 3D arrays laid out band-first, compute in float64, and are symmetric in their
-two image arguments. Dataset-level scores are arithmetic means of per-image
-values taken in input order (PSNR is averaged in dB, at peak 1.0).
+two image arguments. Inputs are converted one band at a time: ``ssim`` and
+``sam`` hold float64 temporaries of one band (``sam`` adds three per-pixel
+sums), and ``psnr`` one float64 difference cube. Dataset-level scores are
+arithmetic means of per-image values taken in input order (PSNR is averaged
+in dB, at peak 1.0).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def _as_bands(x: SpectralCube | np.ndarray, name: str) -> np.ndarray:
     data = x.data if isinstance(x, SpectralCube) else np.asarray(x)
     if data.ndim != 3:
         raise ShapeError(f"{name} must be a cube (bands, height, width), got shape {data.shape}")
-    return data.astype(np.float64, copy=False)
+    return data
 
 
 def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -58,8 +61,8 @@ def psnr(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray, peak: float
     if not peak > 0:
         raise ValueError(f"peak must be > 0, got {peak}")
     af, bf = _paired(a, b)
-    diff = af - bf
-    mse = float(np.mean(diff * diff))
+    diff = np.subtract(af, bf, dtype=np.float64)
+    mse = float(np.mean(np.multiply(diff, diff, out=diff)))
     if mse == 0.0:
         return math.inf
     return float(10.0 * np.log10(peak * peak / mse))
@@ -85,7 +88,8 @@ def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
     kernel = _gauss_kernel(_SSIM_SIGMA, radius)
     per_band = np.empty(af.shape[0], dtype=np.float64)
     for k in range(af.shape[0]):
-        x, y = af[k], bf[k]
+        x = af[k].astype(np.float64, copy=False)
+        y = bf[k].astype(np.float64, copy=False)
         mx = _corr_valid(x, kernel)
         my = _corr_valid(y, kernel)
         mxy = mx * my
@@ -110,9 +114,14 @@ def sam(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
     excluded (the angle is undefined there). Raises when no pixel survives.
     """
     af, bf = _paired(a, b)
-    daa = np.sum(af * af, axis=0)
-    dbb = np.sum(bf * bf, axis=0)
-    dab = np.sum(af * bf, axis=0)
+    # Band-order sums from +0.0, as np.sum(axis=0) adds them.
+    daa, dbb, dab = (np.zeros(af.shape[1:]) for _ in range(3))
+    for k in range(af.shape[0]):
+        x = af[k].astype(np.float64, copy=False)
+        y = bf[k].astype(np.float64, copy=False)
+        daa += x * x
+        dbb += y * y
+        dab += x * y
     valid = (np.sqrt(daa) >= _SAM_NORM_GUARD) & (np.sqrt(dbb) >= _SAM_NORM_GUARD)
     if not valid.any():
         raise DegenerateInputError("no pixel has both spectra above the norm guard")
@@ -157,8 +166,7 @@ def evaluate_dataset(
     """
 
     def job(recon, ref) -> tuple[float, float, float]:
-        af, bf = _paired(recon, ref)  # float64 once, for all three metrics
-        return psnr(af, bf), ssim(af, bf), sam(af, bf)
+        return psnr(recon, ref), ssim(recon, ref), sam(recon, ref)
 
     triples = map_pairs(job, pairs)
     if not triples:

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from specmosaic import (
     remosaic,
     transform_d4,
 )
+from specmosaic import dataset
 from specmosaic.dataset import (
     AUGMENT_OPS,
     AUGMENT_OPS_NONSQUARE,
@@ -263,6 +265,31 @@ def test_pairs_augment_and_patch_counts(tmp_path):
     assert records[0].cube == "img_identity_r00000_c00000_cube.bsq"
     augs = [r.aug for r in records]
     assert augs == [op for op in AUGMENT_OPS for _ in range(4)]
+
+
+@pytest.mark.parametrize("patch", [None, (8, 8)])
+def test_pairs_hold_one_variant_at_a_time(tmp_path, monkeypatch, patch):
+    # Before each variant is made, every earlier one is already freed: it
+    # was cut and written, then dropped.
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "1")
+    made: list[weakref.ref] = []
+    alive_before: list[int] = []
+    real = dataset.transform_d4
+
+    def spy(cube, op):
+        alive_before.append(sum(ref() is not None for ref in made))
+        var = real(cube, op)
+        made.append(weakref.ref(var))
+        return var
+
+    monkeypatch.setattr(dataset, "transform_d4", spy)
+    rng = np.random.default_rng(86)
+    src = write_cube(_rand_cube(rng, 4, 16, 16), tmp_path / "in" / "img")
+    records = make_pseudo_pairs(
+        [src], SfaPattern.row_major(2), tmp_path / "ds", patch=patch, augment=True
+    )
+    assert len(records) == 8 * (1 if patch is None else 4)
+    assert alive_before == [0] * 8
 
 
 def test_pairs_nonsquare_patch_needs_stride(tmp_path):

@@ -111,6 +111,41 @@ def test_non_finite_payload_rejected_on_read(tmp_path):
         read_cube(tmp_path / "nan")
 
 
+def _write_raw_cube(stem, samples, bands, height, width):
+    stem.with_suffix(".json").write_text(
+        json.dumps({"height": height, "width": width, "bands": bands})
+    )
+    stem.with_suffix(".bsq").write_bytes(np.asarray(samples, dtype="<f4").tobytes())
+
+
+@pytest.mark.parametrize(
+    "samples, found",
+    [
+        ([0.5, 1.0, 0.0, np.nan], "1 sample(s), first at (1, 0, 1)"),
+        ([0.5, np.inf, 0.0, 1.0], "1 sample(s), first at (0, 0, 1)"),
+        ([0.5, 1.0, -np.inf, 1.0], "1 sample(s), first at (1, 0, 0)"),
+        # +Inf and -Inf together sum to NaN, which the check also rejects.
+        ([np.inf, 1.0, 0.0, -np.inf], "2 sample(s), first at (0, 0, 0), (1, 0, 1)"),
+    ],
+)
+def test_non_finite_payload_message(tmp_path, samples, found):
+    _write_raw_cube(tmp_path / "c", samples, bands=2, height=1, width=2)
+    with pytest.raises(ValidationError) as e:
+        read_cube(tmp_path / "c")
+    assert str(e.value) == f"{tmp_path / 'c.bsq'}: non_finite: {found}"
+
+
+@pytest.mark.parametrize("signs", ["+", "-", "+-"])
+def test_largest_finite_samples_read_back(tmp_path, signs):
+    # Every sample at the float32 limit: a large finite sum is not rejected.
+    top = np.finfo(np.float32).max
+    rng = np.random.default_rng(41)
+    sign = rng.choice([1.0 if s == "+" else -1.0 for s in signs], size=(3, 16, 16))
+    data = (sign * top).astype(np.float32)
+    _write_raw_cube(tmp_path / "c", data, *data.shape)
+    assert read_cube(tmp_path / "c").data.tobytes() == data.astype("<f4").tobytes()
+
+
 def test_no_temp_files_left_behind(tmp_path):
     write_cube(SpectralCube(np.zeros((1, 2, 2), dtype=np.float32)), tmp_path / "a")
     assert not list(tmp_path.glob("*.tmp"))

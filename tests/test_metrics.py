@@ -17,6 +17,7 @@ from specmosaic import (
     sam,
     ssim,
 )
+from specmosaic.freqsel import _corr_valid, _gauss_kernel
 
 # ---------------------------------------------------------------- oracles
 
@@ -239,6 +240,71 @@ def test_sam_all_zero_degenerate():
     z = np.zeros((3, 4, 4))
     with pytest.raises(DegenerateInputError):
         sam(z, z)
+
+
+# ------------------------------------------- band-by-band scores keep bits
+
+
+# The cube-wide float64 formulas the band-by-band kernels replaced.
+def _cube_psnr(a, b):
+    diff = a.astype(np.float64) - b.astype(np.float64)
+    mse = float(np.mean(diff * diff))
+    return math.inf if mse == 0.0 else float(10.0 * np.log10(1.0 / mse))
+
+
+def _cube_ssim(a, b):
+    af, bf = a.astype(np.float64), b.astype(np.float64)
+    kernel = _gauss_kernel(1.5, 5)
+    c1, c2 = 0.01**2, 0.03**2
+    per_band = np.empty(af.shape[0])
+    for k in range(af.shape[0]):
+        x, y = af[k], bf[k]
+        mx, my = _corr_valid(x, kernel), _corr_valid(y, kernel)
+        mxy = mx * my
+        mm = mx * mx + my * my
+        sxy = _corr_valid(x * y, kernel) - mxy
+        ss = _corr_valid(x * x + y * y, kernel) - mm
+        per_band[k] = np.mean((2.0 * mxy + c1) * (2.0 * sxy + c2) / ((mm + c1) * (ss + c2)))
+    return float(np.mean(per_band))
+
+
+def _cube_sam(a, b):
+    af, bf = a.astype(np.float64), b.astype(np.float64)
+    daa, dbb = np.sum(af * af, axis=0), np.sum(bf * bf, axis=0)
+    dab = np.sum(af * bf, axis=0)
+    valid = (np.sqrt(daa) >= 1e-12) & (np.sqrt(dbb) >= 1e-12)
+    if not valid.any():
+        raise DegenerateInputError("no pixel has both spectra above the norm guard")
+    cos = dab[valid] / np.sqrt(daa[valid] * dbb[valid])
+    return float(np.mean(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bands=st.integers(1, 6),
+    h=st.integers(11, 24),
+    w=st.integers(11, 24),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    kind=st.sampled_from(["distinct", "identical", "zero_pixels", "all_zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scores_equal_cube_wide_formulas_bitwise(bands, h, w, dtype, kind, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-0.2, 1.2, (2, bands, h, w)).astype(dtype)
+    if kind == "identical":
+        b = a.copy()
+    elif kind == "zero_pixels":  # some pixels fall below SAM's norm guard
+        a[:, rng.uniform(size=(h, w)) < 0.5] = 0
+    elif kind == "all_zero":
+        a[...] = 0
+    for new, old in ((psnr, _cube_psnr), (ssim, _cube_ssim), (sam, _cube_sam)):
+        try:
+            want = old(a, b)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                new(a, b)
+            continue
+        assert np.float64(new(a, b)).tobytes() == np.float64(want).tobytes(), new.__name__
 
 
 # ------------------------------------------------------- dataset reports

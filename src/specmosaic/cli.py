@@ -15,6 +15,7 @@ byte-identical files regardless of ``SPECMOSAIC_THREADS``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from functools import partial
 from pathlib import Path
@@ -44,7 +45,7 @@ from .fileio import (
     write_fvmap,
     write_mosaic,
 )
-from .freqsel import FreqParams, SelectionParams, frequency_variation_map
+from .freqsel import FreqParams, SelectionParams, count_distribution, frequency_variation_map
 from .metrics import evaluate_dataset
 from .sfa import mosaic as sfa_mosaic
 
@@ -116,6 +117,17 @@ def _cmd_select_hard(args: argparse.Namespace) -> int:
     kept = filter_hard(
         args.manifest, _freq_params(args), sparams, out_path=args.output
     )
+    sidecar = Path(f"{args.output}.verdicts.json").read_text(encoding="utf-8")
+    counts = [v["count"] for v in json.loads(sidecar)["verdicts"]]
+    if counts and len(kept) in (0, len(counts)):
+        # Keeping none or all says the thresholds do not separate this corpus.
+        d = count_distribution(counts)
+        print(
+            f"warning: kept {len(kept)} of {len(counts)} records "
+            f"({len(kept) / len(counts):.0%}); counts min {d['min']:.12g}, "
+            f"p50 {d['p50']:.12g}, max {d['max']:.12g} against t_cnt {sparams.t_cnt}",
+            file=sys.stderr,
+        )
     print(f"{len(kept)} hard records -> {args.output}")
     return 0
 

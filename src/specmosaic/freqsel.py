@@ -5,9 +5,11 @@ in global image metrics but light up as localized disparities between the
 log-magnitude spectra of two reconstructions of the same scene. The detector
 here compares two cubes channel by channel:
 
-    1. centered 2D spectrum of each band,
+    1. unshifted 2D spectrum of each band,
     2. log magnitude ln(|S| + eps),
-    3. absolute difference of the two log-magnitude maps,
+    3. absolute difference of the two log-magnitude maps, shifted once so
+       the DC bin sits at (H//2, W//2) (steps 2 and 3 are elementwise, so
+       this equals differencing two centered spectra),
     4. Gaussian smoothing (stabilizes single-bin spikes),
     5. pixelwise maximum across channels,
     6. annular bandpass that zeroes the DC neighbourhood (exposure and
@@ -23,6 +25,7 @@ independent of worker scheduling.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -45,6 +48,12 @@ __all__ = [
     "select_hard",
     "count_distribution",
 ]
+
+
+def _check_whole(name: str, value, low: int) -> None:
+    # bool is an Integral, but True as a radius or count is a slip, not a 1.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +79,7 @@ class FreqParams:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not self.blur_sigma > 0:
             raise ValueError(f"blur_sigma must be > 0, got {self.blur_sigma}")
-        if self.blur_radius < 1:
-            raise ValueError(f"blur_radius must be >= 1, got {self.blur_radius}")
+        _check_whole("blur_radius", self.blur_radius, 1)
         if not (0.0 <= self.r_low < self.r_high <= 1.0):
             raise ValueError(
                 f"need 0 <= r_low < r_high <= 1, got ({self.r_low}, {self.r_high})"
@@ -98,8 +106,7 @@ class SelectionParams:
     def __post_init__(self) -> None:
         if not self.t_var >= 0:
             raise ValueError(f"t_var must be >= 0, got {self.t_var}")
-        if self.t_cnt < 0 or int(self.t_cnt) != self.t_cnt:
-            raise ValueError(f"t_cnt must be a non-negative integer, got {self.t_cnt}")
+        _check_whole("t_cnt", self.t_cnt, 0)
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,9 @@ def log_magnitude(spectrum: np.ndarray, epsilon: float) -> np.ndarray:
     empty bins map to the finite floor ln(epsilon)."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return np.log(np.abs(spectrum) + epsilon)
+    mag = np.add(np.abs(spectrum), epsilon)  # float, whatever the input dtype
+    # An array takes the log in place; a 0-d input gives a scalar, which cannot.
+    return np.log(mag, out=mag if isinstance(mag, np.ndarray) else None)
 
 
 def _gauss_kernel(sigma: float, radius: int) -> np.ndarray:
@@ -163,24 +172,30 @@ def _gauss_kernel(sigma: float, radius: int) -> np.ndarray:
 
 def _corr_valid(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Separable valid-mode correlation with a symmetric 1D kernel on both
-    axes; output shrinks by (len(kernel) - 1) along each axis."""
-    out = img
+    axes of a 2D map with both sides >= len(kernel).
+
+    Returns a float64 (H - taps + 1, W - taps + 1) map whose element (r, c)
+    is sum_j k[j] * (sum_i k[i] * img[r + i, c + j]), each sum taken in tap
+    order from its first product. The result may be a strided view: its
+    rows sit W apart in a fresh buffer, so writing to it touches nothing else.
+    """
     taps = len(kernel)
-    for axis in (0, 1):
-        n = out.shape[axis] - (taps - 1)
-        view = [slice(None), slice(None)]
-
-        def tap(i: int) -> np.ndarray:
-            view[axis] = slice(i, i + n)
-            return kernel[i] * out[tuple(view)]
-
-        # The sum starts at the first product, not at 0.0: the two differ
-        # only where every product is -0.0, which no non-negative input gives.
-        acc = tap(0)
-        for i in range(1, taps):
-            acc += tap(i)
-        out = acc
-    return out
+    n = img.shape[0] - (taps - 1)
+    # The sums start at the first product, not at 0.0: the two differ only
+    # where every product is -0.0, which no non-negative input gives.
+    rows = kernel[0] * img[:n]
+    for i in range(1, taps):
+        rows += kernel[i] * img[i : i + n]
+    # Along the rows, each tap is one contiguous run over the flattened map.
+    # Sums that run past the end of a row land in its last taps - 1 columns,
+    # which the returned view leaves out.
+    flat = rows.ravel()
+    size = flat.size - (taps - 1)
+    buf = np.empty_like(flat)
+    acc = np.multiply(flat[:size], kernel[0], out=buf[:size])
+    for i in range(1, taps):
+        acc += kernel[i] * flat[i : i + size]
+    return buf.reshape(rows.shape)[:, : rows.shape[1] - (taps - 1)]
 
 
 def gaussian_blur(map2d: np.ndarray, sigma: float, radius: int) -> np.ndarray:
@@ -188,12 +203,13 @@ def gaussian_blur(map2d: np.ndarray, sigma: float, radius: int) -> np.ndarray:
 
     The 1D kernel is the sampled Gaussian on [-radius, radius], normalized to
     sum 1, applied along each axis in turn to the edge-padded map; this
-    equals dense 2D convolution with the outer-product kernel.
+    equals dense 2D convolution with the outer-product kernel. Returns a
+    float64 map of the input's shape, as the view :func:`_corr_valid` gives
+    (it may be strided, never shares memory with the input).
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+    _check_whole("radius", radius, 1)
     out = np.asarray(map2d, dtype=np.float64)
     if out.ndim != 2:
         raise ShapeError(f"expected a 2D map, got shape {out.shape}")
@@ -215,11 +231,19 @@ def frequency_variation_map(
         )
     h, w = c1.height, c1.width
     acc: np.ndarray | None = None
+    # Every FFT runs in place in this one buffer (fft2's out= needs NumPy 2):
+    # a fresh complex map per transform costs more than copying the band in.
+    spec = np.empty((h, w), dtype=np.complex128)
     for k in range(c1.bands):
-        m1 = log_magnitude(centered_spectrum(c1.band(k)), params.epsilon)
-        m2 = log_magnitude(centered_spectrum(c2.band(k)), params.epsilon)
-        r = gaussian_blur(np.abs(m1 - m2), params.blur_sigma, params.blur_radius)
-        acc = r if acc is None else np.maximum(acc, r)
+        spec[...] = c1.band(k)
+        d = log_magnitude(np.fft.fft2(spec, out=spec), params.epsilon)
+        spec[...] = c2.band(k)
+        d -= log_magnitude(np.fft.fft2(spec, out=spec), params.epsilon)
+        # Every step between the FFTs and the blur is elementwise, so one
+        # shift of the difference equals shifting both spectra.
+        d = np.fft.fftshift(np.abs(d, out=d))
+        r = gaussian_blur(d, params.blur_sigma, params.blur_radius)
+        acc = r if acc is None else np.maximum(acc, r, out=acc)
     assert acc is not None
     dc_row, dc_col = h // 2, w // 2
     uu = np.arange(h, dtype=np.float64)[:, None] - dc_row

@@ -117,6 +117,27 @@ def test_pairs_then_select_hard(tmp_path, capsys):
     assert len(verdicts["verdicts"]) == 3
 
 
+@pytest.mark.parametrize("sine_bands", [(1, 1, 1), (None, None, None), (None, 1, None)])
+def test_select_hard_warns_when_it_keeps_all_or_none(tmp_path, capsys, sine_bands):
+    src = tmp_path / "src"
+    for i, band in enumerate(sine_bands):
+        _write_const_cube(src / f"c{i:02d}", [0.3, 0.5, 0.6, 0.8], h=128, w=128, sine_band=band)
+    ds, hard = tmp_path / "ds", tmp_path / "hard.jsonl"
+    assert run(capsys, "pairs", src, "--pattern", "2x2", "-o", ds)[0] == 0
+    code, out, err = run(capsys, "select-hard", ds / "manifest.jsonl", "-o", hard)
+    n_kept = sum(band is not None for band in sine_bands)
+    assert code == 0 and out == f"{n_kept} hard records -> {hard}\n"
+    counts = sorted(v["count"] for v in json.loads(
+        (tmp_path / "hard.jsonl.verdicts.json").read_text())["verdicts"])
+    if n_kept == 1:  # a selection that separates the corpus says nothing more
+        assert err == ""
+    else:
+        assert err == (
+            f"warning: kept {n_kept} of 3 records ({n_kept // 3:.0%}); counts min "
+            f"{counts[0]}, p50 {counts[1]}, max {counts[2]} against t_cnt 5\n"
+        )
+
+
 def test_pairs_empty_dir_fails(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

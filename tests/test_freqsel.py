@@ -18,6 +18,9 @@ from specmosaic import (
     log_magnitude,
     select_hard,
 )
+from specmosaic.freqsel import _corr_valid
+
+from oracles import gauss_taps, two_axis_taps
 
 # ---------------------------------------------------------------- oracles
 
@@ -131,6 +134,25 @@ def test_log_magnitude_elementwise_oracle():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        np.array([[0, -3], [7, 2]]),  # integer: |S| stays an integer array
+        np.array([True, False]),
+        np.array([1.5, -2.0], dtype=np.float32),
+        np.array(-4.0),  # 0-d
+        -4,
+        2.5 - 1j,
+    ],
+)
+def test_log_magnitude_keeps_plain_formula_for_any_input(spectrum):
+    got = log_magnitude(spectrum, 1e-6)
+    want = np.log(np.abs(spectrum) + 1e-6)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_log_magnitude_requires_positive_epsilon():
     with pytest.raises(ValueError):
         log_magnitude(np.zeros((2, 2), dtype=complex), 0.0)
@@ -176,6 +198,77 @@ def test_blur_radius_larger_than_map():
     assert out.shape == img.shape and np.isfinite(out).all()
 
 
+@pytest.mark.parametrize("radius", [2.0, 2.5, True, "2", None])
+def test_blur_radius_must_be_an_int(radius):
+    with pytest.raises(ValueError, match="radius must be an integer >= 1"):
+        gaussian_blur(np.zeros((4, 4)), 1.5, radius)
+    with pytest.raises(ValueError, match="blur_radius must be an integer >= 1"):
+        FreqParams(blur_radius=radius)
+
+
+def test_integer_fields_accept_numpy_integers():
+    assert FreqParams(blur_radius=np.int64(2)).blur_radius == 2
+    assert SelectionParams(t_cnt=np.int32(3)).t_cnt == 3
+    assert gaussian_blur(np.ones((3, 3)), 1.0, np.int64(1)).shape == (3, 3)
+
+
+# Samples that stress the sums: signed zeros, subnormals, the smallest normal.
+_SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308])
+
+
+def _stressed_map(h, w, taps, seed):
+    rng = np.random.default_rng(seed)
+    img = rng.uniform(-2.0, 2.0, (h, w))
+    mask = rng.uniform(size=(h, w)) < 0.25
+    img[mask] = rng.choice(_SPECIAL, size=int(mask.sum()))
+    # One window of -0.0 only: a sum started at +0.0 would come out +0.0.
+    img[:taps, w - taps :] = -0.0
+    return img
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    radius=st.integers(1, 8),
+    extra_h=st.integers(0, 40),
+    extra_w=st.integers(0, 40),
+    sigma=st.floats(0.3, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(radius=1, extra_h=0, extra_w=0, sigma=1.0, seed=0)  # one output bin
+@example(radius=5, extra_h=28, extra_w=29, sigma=1.5, seed=1)  # 39x40: both parities
+@example(radius=8, extra_h=23, extra_w=1, sigma=2.0, seed=2)  # 40x18
+def test_corr_valid_equals_two_axis_tap_loop_bytewise(radius, extra_h, extra_w, sigma, seed):
+    taps = 2 * radius + 1
+    h, w = min(taps + extra_h, 40), min(taps + extra_w, 40)
+    img = _stressed_map(h, w, taps, seed)
+    kernel = gauss_taps(sigma, radius)
+    got = _corr_valid(img, kernel)
+    want = two_axis_taps(img, kernel)
+    assert got.shape == want.shape == (h - taps + 1, w - taps + 1)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_corr_valid_and_blur_return_strided_views_of_fresh_buffers():
+    img = np.random.default_rng(7).uniform(0, 1, (20, 30))
+    before = img.copy()
+    kernel = gauss_taps(1.5, 3)
+    out = _corr_valid(img, kernel)
+    # Rows sit a full input row apart, so the result is not C-contiguous.
+    assert out.shape == (14, 24) and out.strides == (30 * 8, 8)
+    assert not out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, img)
+    out[...] = -1.0  # writing through the view reaches nothing else
+    assert img.tobytes() == before.tobytes()
+
+    blurred = gaussian_blur(img, 1.5, 3)
+    assert blurred.shape == img.shape and blurred.dtype == np.float64
+    assert blurred.strides == ((30 + 2 * 3) * 8, 8) and not blurred.flags.c_contiguous
+    assert not np.shares_memory(blurred, img)
+    want = two_axis_taps(np.pad(img, 3, mode="edge"), gauss_taps(1.5, 3))
+    assert blurred.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------- frequency_variation_map
 
 
@@ -214,6 +307,47 @@ def test_symmetry_bit_exact(bands, h, w, seed):
     a, b = _cube_pair(bands, h, w, seed)
     ab = frequency_variation_map(a, b).values
     assert ab.tobytes() == frequency_variation_map(b, a).values.tobytes()
+
+
+def _parent_recipe_map(c1, c2, params):
+    """The map as first written: per band, centered spectrum, log magnitude,
+    absolute difference and blur (the tap loop on the edge-padded map); then
+    the channel max and the annulus."""
+    h, w = c1.height, c1.width
+    kernel = gauss_taps(params.blur_sigma, params.blur_radius)
+    acc = None
+    for k in range(c1.bands):
+        s1 = np.fft.fftshift(np.fft.fft2(np.asarray(c1.data[k], dtype=np.float64)))
+        s2 = np.fft.fftshift(np.fft.fft2(np.asarray(c2.data[k], dtype=np.float64)))
+        m1 = np.log(np.abs(s1) + params.epsilon)
+        m2 = np.log(np.abs(s2) + params.epsilon)
+        padded = np.pad(np.abs(m1 - m2), params.blur_radius, mode="edge")
+        r = two_axis_taps(padded, kernel)
+        acc = r if acc is None else np.maximum(acc, r)
+    keep = _annulus_mask(h, w, params.r_low, params.r_high)
+    return np.where(keep, acc, 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    **_fv_cases,
+    radius=st.integers(1, 6),
+    epsilon=st.sampled_from([1e-8, 1e-3]),
+    identical_band=st.booleans(),
+)
+@example(bands=2, h=16, w=17, seed=3, radius=5, epsilon=1e-8, identical_band=True)
+@example(bands=1, h=1, w=1, seed=0, radius=1, epsilon=1e-8, identical_band=False)
+def test_map_equals_parent_per_band_recipe_bytewise(
+    bands, h, w, seed, radius, epsilon, identical_band
+):
+    a, b = _cube_pair(bands, h, w, seed)
+    if identical_band:  # one band with an exactly zero difference
+        data = b.data.copy()
+        data[0] = a.data[0]
+        b = SpectralCube(data)
+    params = FreqParams(epsilon=epsilon, blur_radius=radius)
+    got = frequency_variation_map(a, b, params).values
+    assert got.tobytes() == _parent_recipe_map(a, b, params).tobytes()
 
 
 def test_bandpass_support():
@@ -327,6 +461,9 @@ def test_selection_params_validation():
         SelectionParams(t_var=-0.1)
     with pytest.raises(ValueError):
         SelectionParams(t_cnt=-1)
+    for t_cnt in (True, 5.0, 2.5):  # not taken as 1 or 5
+        with pytest.raises(ValueError, match="t_cnt must be an integer >= 0"):
+            SelectionParams(t_cnt=t_cnt)
     with pytest.raises(ValueError):
         FreqParams(r_low=0.6, r_high=0.5)
 

@@ -1,0 +1,53 @@
+#!/bin/sh
+# Check that the working tree writes the same output trees as a base commit.
+#
+# Builds the c5 and large-sparse `pairs -> select-hard -> metrics` trees
+# (perfbench workloads, seed 7, at 1 and 2 workers) once with the base
+# commit's code and once with the working tree's, then compares the sha256
+# digest of every file in them. Run from the repository root:
+#
+#   scripts/check_trees.sh [BASE]
+#
+# BASE is any git revision and defaults to HEAD~1; use HEAD to check
+# uncommitted work. Prints "trees identical" and exits 0, or lists the
+# differing digests and exits 1.
+set -eu
+
+base=${1:-HEAD~1}
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+git archive --prefix=base/ "$base" | tar -x -C "$work"
+
+# digests ROOT OUT: build every tree with ROOT's code under OUT and print
+# one "<workload>.w<n>/<file>": "<sha256>" line per output file.
+digests() {
+    python3 - "$1" "$2" <<'PY'
+import json, sys
+from pathlib import Path
+root, work = Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()
+sys.path.insert(0, str(root / "perfbench"))
+from checks import tree_digest
+from run import run_pipeline
+from workloads import WORKLOADS, generate
+digests = {}
+for name in ("c5", "large-sparse"):
+    generate(WORKLOADS[name], 7, work / name / "src")
+    for n in (1, 2):
+        tree = work / name / f"w{n}"
+        assert run_pipeline(WORKLOADS[name], work / name / "src", tree, 0, n,
+                            work / "log.txt").ok, f"{name} at {n} workers failed"
+        for path, sha in tree_digest(tree).items():
+            digests[f"{name}.w{n}/{path}"] = sha
+print(json.dumps(digests, indent=0, sort_keys=True))
+PY
+}
+
+digests "$work/base" "$work/run-base" > "$work/base.json"
+digests . "$work/run-change" > "$work/change.json"
+if cmp -s "$work/base.json" "$work/change.json"; then
+    echo "trees identical"
+else
+    echo "trees differ from $base (< base, > working tree):" >&2
+    diff "$work/base.json" "$work/change.json" >&2 || true
+    exit 1
+fi

@@ -29,7 +29,6 @@ from .core import (
     FormatError,
     MosaicImage,
     PatchOrigin,
-    SamplingLattice,
     SfaPattern,
     ShapeError,
     SpecmosaicError,
@@ -46,7 +45,6 @@ from .freqsel import (
     FrequencyVariationMap,
     PatchVerdict,
     SelectionParams,
-    SelectionReport,
     centered_spectrum,
     classify_patch,
     count_distribution,
@@ -56,7 +54,7 @@ from .freqsel import (
     select_hard,
 )
 from .metrics import ImageMetrics, MetricReport, evaluate_dataset, psnr, sam, ssim
-from .sfa import band_at_pixel, mosaic, remosaic, sparse_expand
+from .sfa import mosaic, remosaic, sparse_expand
 
 __all__ = [
     "__version__",
@@ -72,7 +70,6 @@ __all__ = [
     "SpectralCube",
     "MosaicImage",
     "SfaPattern",
-    "SamplingLattice",
     "PatchOrigin",
     "Violation",
     "validate_cube",
@@ -81,7 +78,6 @@ __all__ = [
     "D4_OPS",
     "D4_INVERSE",
     # sfa
-    "band_at_pixel",
     "mosaic",
     "remosaic",
     "sparse_expand",
@@ -92,7 +88,6 @@ __all__ = [
     "SelectionParams",
     "FrequencyVariationMap",
     "PatchVerdict",
-    "SelectionReport",
     "centered_spectrum",
     "log_magnitude",
     "gaussian_blur",

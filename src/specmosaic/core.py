@@ -36,7 +36,6 @@ __all__ = [
     "SpectralCube",
     "MosaicImage",
     "SfaPattern",
-    "SamplingLattice",
     "PatchOrigin",
     "Violation",
     "validate_cube",
@@ -179,17 +178,6 @@ class MosaicImage:
 
 
 @dataclass(frozen=True)
-class SamplingLattice:
-    """Where one band lives on the sensor: rows ``offset_row + n*period`` and
-    columns ``offset_col + m*period``."""
-
-    band: int
-    offset_row: int
-    offset_col: int
-    period: int
-
-
-@dataclass(frozen=True)
 class SfaPattern:
     """A period x period grid assigning one band index to each cell.
 
@@ -232,13 +220,6 @@ class SfaPattern:
 
     def band_at_cell(self, i: int, j: int) -> int:
         return int(self.band_at[i, j])
-
-    def lattice_of(self, band: int) -> SamplingLattice:
-        """The unique lattice cell sampling ``band``."""
-        if not 0 <= band < self.bands:
-            raise BoundsError(f"band {band} outside 0..{self.bands - 1}")
-        i, j = np.argwhere(self.band_at == band)[0]
-        return SamplingLattice(band, int(i), int(j), self.period)
 
     def index_map(self, height: int, width: int) -> np.ndarray:
         """(height, width) int array giving the band sampled at each pixel."""

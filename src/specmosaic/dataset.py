@@ -43,7 +43,6 @@ from .core import (
     AlignmentError,
     BoundsError,
     FormatError,
-    MosaicImage,
     PatchOrigin,
     SfaPattern,
     ShapeError,
@@ -73,7 +72,6 @@ __all__ = [
     "augment_cube",
     "make_pseudo_pairs",
     "filter_hard",
-    "load_record",
     "record_pair",
     "read_manifest",
     "write_manifest",
@@ -82,9 +80,7 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.jsonl"
 
-#: Square-symmetry variants emitted by augment_cube, in emission order.
-AUGMENT_OPS = D4_OPS
-#: The shape-preserving subset used for non-square inputs.
+#: The shape-preserving D4 subset that augment_cube emits for non-square inputs.
 AUGMENT_OPS_NONSQUARE = ("identity", "rot180", "flip_h", "flip_v")
 
 
@@ -181,10 +177,10 @@ def patchify(
 
 
 def _augment_ops(cube: SpectralCube) -> Sequence[str]:
-    """The ops :func:`augment_cube` applies to ``cube``: all of AUGMENT_OPS
-    for a square cube, else the shape-preserving 4, with a warning."""
+    """The ops :func:`augment_cube` applies to ``cube``: all of D4_OPS for a
+    square cube, else the shape-preserving 4, with a warning."""
     if cube.height == cube.width:
-        return AUGMENT_OPS
+        return D4_OPS
     warnings.warn(
         f"non-square cube {cube.height}x{cube.width}: emitting only the "
         f"{len(AUGMENT_OPS_NONSQUARE)} shape-preserving variants",
@@ -197,7 +193,7 @@ def _augment_ops(cube: SpectralCube) -> Sequence[str]:
 def augment_cube(cube: SpectralCube) -> list[tuple[str, SpectralCube]]:
     """All square-symmetry variants of a cube as (op name, cube) pairs.
 
-    Square inputs yield the 8 variants of AUGMENT_OPS in that fixed order,
+    Square inputs yield the 8 variants of D4_OPS in that fixed order,
     the first being the input itself. Non-square inputs can only keep their
     shape under 4 of the 8 ops, so only those are emitted, with a warning.
     """
@@ -289,23 +285,15 @@ def make_pseudo_pairs(
     return records
 
 
-def load_record(
-    base: str | Path, rec: PairRecord
-) -> tuple[SpectralCube, MosaicImage, SfaPattern]:
-    """Read one manifest record's label cube and mosaic, with paths relative
-    to ``base``; the pattern comes from the cube's sidecar."""
+def record_pair(base: str | Path, rec: PairRecord) -> tuple[SpectralCube, SpectralCube]:
+    """The pair a record is scored on: its label cube and the bilinear
+    reconstruction of its own mosaic, with paths relative to ``base``; the
+    pattern comes from the cube's sidecar."""
     cube = read_cube(Path(base) / rec.cube)
     pattern = read_sidecar(Path(base) / rec.cube).pattern
     if pattern is None:
         raise FormatError(f"cube sidecar for {rec.cube} carries no pattern")
-    return cube, read_mosaic(Path(base) / rec.mosaic), pattern
-
-
-def record_pair(base: str | Path, rec: PairRecord) -> tuple[SpectralCube, SpectralCube]:
-    """The pair a record is scored on: its label cube and the bilinear
-    reconstruction of its own mosaic (read with :func:`load_record`)."""
-    cube, mosaic_img, pattern = load_record(base, rec)
-    return cube, wb_bilinear(mosaic_img, pattern)
+    return cube, wb_bilinear(read_mosaic(Path(base) / rec.mosaic), pattern)
 
 
 def filter_hard(
@@ -329,7 +317,7 @@ def filter_hard(
     records = read_manifest(manifest_path)
     base = Path(manifest_path).parent
     loaders = [partial(record_pair, base, rec) for rec in records]
-    verdicts = select_hard(loaders, fparams, sparams).verdicts
+    verdicts = select_hard(loaders, fparams, sparams)
 
     def rebase(rel: str) -> str:
         return os.path.relpath(base / rel, Path(out_path).parent)

@@ -63,7 +63,6 @@ __all__ = [
     "write_pgm8",
     "write_fvmap",
     "load_pattern_spec",
-    "write_pattern_json",
     "cube_stem",
 ]
 
@@ -316,8 +315,3 @@ def load_pattern_spec(spec: str) -> SfaPattern:
     with _as_format_error(what):
         doc = json.loads(Path(spec).read_text(encoding="utf-8"))
     return SfaPattern.from_dict(doc, what=what)
-
-
-def write_pattern_json(pattern: SfaPattern, path: str | Path) -> None:
-    doc = json.dumps(pattern.to_dict(), indent=2) + "\n"
-    _atomic_write_bytes(Path(path), doc.encode("utf-8"))

@@ -12,8 +12,9 @@ here compares two cubes channel by channel:
        this equals differencing two centered spectra),
     4. Gaussian smoothing (stabilizes single-bin spikes),
     5. pixelwise maximum across channels,
-    6. annular bandpass that zeroes the DC neighbourhood (exposure and
-       brightness offsets) and the outermost corners (quantization hash),
+    6. annular bandpass that zeroes the DC neighbourhood (per-band offsets;
+       a global gain g still moves every bin by up to |ln g|) and the
+       outermost corners (quantization hash),
 
 producing a frequency-variation map. A patch is declared *hard* when the
 number of map bins strictly above ``t_var`` strictly exceeds ``t_cnt``. Hard
@@ -39,7 +40,6 @@ __all__ = [
     "SelectionParams",
     "FrequencyVariationMap",
     "PatchVerdict",
-    "SelectionReport",
     "centered_spectrum",
     "log_magnitude",
     "gaussian_blur",
@@ -54,6 +54,12 @@ def _check_whole(name: str, value, low: int) -> None:
     # bool is an Integral, but True as a radius or count is a slip, not a 1.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_real(name: str, value, ok: bool, rule: str) -> None:
+    # bool is a Real too, and True as a width or threshold is a slip, not 1.0.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,15 +81,12 @@ class FreqParams:
     r_high: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not self.blur_sigma > 0:
-            raise ValueError(f"blur_sigma must be > 0, got {self.blur_sigma}")
+        for name in ("epsilon", "blur_sigma"):
+            value = getattr(self, name)
+            _check_real(name, value, 0 < value < np.inf, "finite and > 0")
         _check_whole("blur_radius", self.blur_radius, 1)
-        if not (0.0 <= self.r_low < self.r_high <= 1.0):
-            raise ValueError(
-                f"need 0 <= r_low < r_high <= 1, got ({self.r_low}, {self.r_high})"
-            )
+        _check_real("r_low", self.r_low, self.r_low >= 0, ">= 0")
+        _check_real("r_high", self.r_high, self.r_low < self.r_high <= 1, "in (r_low, 1]")
 
 
 @dataclass(frozen=True)
@@ -104,18 +107,16 @@ class SelectionParams:
     t_cnt: int = 5
 
     def __post_init__(self) -> None:
-        if not self.t_var >= 0:
-            raise ValueError(f"t_var must be >= 0, got {self.t_var}")
+        _check_real("t_var", self.t_var, self.t_var >= 0, ">= 0")
         _check_whole("t_cnt", self.t_cnt, 0)
 
 
 @dataclass(frozen=True)
 class FrequencyVariationMap:
-    """Non-negative per-bin disparity map, plus where its DC bin sits."""
+    """Non-negative per-bin disparity map of shape (H, W), whose DC bin
+    always sits at (H//2, W//2)."""
 
     values: np.ndarray
-    dc_row: int
-    dc_col: int
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -124,25 +125,11 @@ class FrequencyVariationMap:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class PatchVerdict:
     count: int
     is_hard: bool
-
-
-@dataclass(frozen=True)
-class SelectionReport:
-    verdicts: tuple[PatchVerdict, ...]
-    hard_indices: tuple[int, ...]
 
 
 def centered_spectrum(band: np.ndarray) -> np.ndarray:
@@ -245,13 +232,12 @@ def frequency_variation_map(
         r = gaussian_blur(d, params.blur_sigma, params.blur_radius)
         acc = r if acc is None else np.maximum(acc, r, out=acc)
     assert acc is not None
-    dc_row, dc_col = h // 2, w // 2
-    uu = np.arange(h, dtype=np.float64)[:, None] - dc_row
-    vv = np.arange(w, dtype=np.float64)[None, :] - dc_col
+    uu = np.arange(h, dtype=np.float64)[:, None] - h // 2
+    vv = np.arange(w, dtype=np.float64)[None, :] - w // 2
     dist = np.sqrt(uu * uu + vv * vv)
     r_max = min(h, w) / 2.0
     keep = (dist >= params.r_low * r_max) & (dist <= params.r_high * r_max)
-    return FrequencyVariationMap(np.where(keep, acc, 0.0), dc_row, dc_col)
+    return FrequencyVariationMap(np.where(keep, acc, 0.0))
 
 
 def classify_patch(
@@ -268,12 +254,14 @@ def select_hard(
     pairs: Iterable[tuple[SpectralCube, SpectralCube] | Callable],
     fparams: FreqParams | None = None,
     sparams: SelectionParams | None = None,
-) -> SelectionReport:
-    """Classify every (reference, comparison) pair and report the hard ones.
+) -> tuple[PatchVerdict, ...]:
+    """Classify every (reference, comparison) pair: one verdict per pair, in
+    input order under any ``SPECMOSAIC_THREADS`` cap, so the hard pairs are
+    those with ``is_hard``.
 
     Each item is a pair or a zero-argument loader of one, called in the
-    worker. Verdicts keep input order under any ``SPECMOSAIC_THREADS`` cap. A
-    failure aborts the run as ``pair i`` (in memory) or ``record i`` (loader).
+    worker. A failure aborts the run as ``pair i`` (in memory) or
+    ``record i`` (loader).
     """
     fparams = fparams or FreqParams()
     sparams = sparams or SelectionParams()
@@ -281,9 +269,7 @@ def select_hard(
     def job(ref: SpectralCube, comp: SpectralCube) -> PatchVerdict:
         return classify_patch(frequency_variation_map(ref, comp, fparams), sparams)
 
-    verdicts = tuple(map_pairs(job, pairs))
-    hard = tuple(i for i, v in enumerate(verdicts) if v.is_hard)
-    return SelectionReport(verdicts=verdicts, hard_indices=hard)
+    return tuple(map_pairs(job, pairs))
 
 
 def count_distribution(counts: Iterable[int]) -> dict[str, float]:

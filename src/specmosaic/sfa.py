@@ -14,14 +14,7 @@ import numpy as np
 
 from .core import MosaicImage, SfaPattern, ShapeError, SpectralCube
 
-__all__ = ["band_at_pixel", "mosaic", "remosaic", "sparse_expand"]
-
-
-def band_at_pixel(pattern: SfaPattern, u: int, v: int) -> int:
-    """The band index sampled at pixel (u, v): the pattern cell at
-    (u mod period, v mod period)."""
-    p = pattern.period
-    return pattern.band_at_cell(u % p, v % p)
+__all__ = ["mosaic", "remosaic", "sparse_expand"]
 
 
 def _check_bands(cube: SpectralCube, pattern: SfaPattern) -> None:
@@ -35,9 +28,10 @@ def _check_bands(cube: SpectralCube, pattern: SfaPattern) -> None:
 def mosaic(cube: SpectralCube, pattern: SfaPattern) -> MosaicImage:
     """Sample one band per pixel according to the pattern.
 
-    output(u, v) = cube[band_at_pixel(u, v), u, v]. Because the per-band
-    masks partition the sensor, exactly one band contributes to each pixel.
-    Spatial dims need not be period multiples (sensor crops exist).
+    output(u, v) = cube[band_at[u mod p, v mod p], u, v] for period p.
+    Because the per-band masks partition the sensor, exactly one band
+    contributes to each pixel. Spatial dims need not be period multiples
+    (sensor crops exist).
     """
     _check_bands(cube, pattern)
     idx = pattern.index_map(cube.height, cube.width)

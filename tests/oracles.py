@@ -8,6 +8,12 @@ code under test.
 import numpy as np
 
 
+def lattice_offsets(pattern, band):
+    """(row, col) of the one period cell whose filter passes ``band``."""
+    i, j = np.argwhere(pattern.band_at == band)[0]
+    return int(i), int(j)
+
+
 def gauss_taps(sigma, radius):
     """The sampled Gaussian on [-radius, radius], normalized to sum 1."""
     k = np.exp(-0.5 * (np.arange(-radius, radius + 1, dtype=np.float64) / sigma) ** 2)

@@ -10,8 +10,8 @@ import pytest
 
 from specmosaic import SfaPattern, SpectralCube, mosaic as sfa_mosaic, wb_bilinear
 from specmosaic.cli import cli_dispatch
-from specmosaic.dataset import load_record, read_manifest
-from specmosaic.fileio import read_cube, read_mosaic, write_cube
+from specmosaic.dataset import read_manifest
+from specmosaic.fileio import read_cube, read_mosaic, read_sidecar, write_cube
 from specmosaic.metrics import evaluate_dataset
 
 
@@ -197,8 +197,9 @@ def test_metrics_manifest_matches_evaluate_dataset(tmp_path, capsys):
     assert code == 0
     pairs = []
     for rec in read_manifest(ds / "manifest.jsonl"):
-        cube, mosaic_img, pattern = load_record(ds, rec)
-        pairs.append((wb_bilinear(mosaic_img, pattern), cube))
+        pattern = read_sidecar(ds / rec.cube).pattern
+        recon = wb_bilinear(read_mosaic(ds / rec.mosaic), pattern)
+        pairs.append((recon, read_cube(ds / rec.cube)))
     assert len(pairs) == 2
     assert report_path.read_text() == evaluate_dataset(pairs).to_json()
 
@@ -387,24 +388,25 @@ _RECORD = {"mosaic": "m.bsq", "cube": "c.bsq", "source": "s", "origin": [0, 0], 
 
 
 @pytest.mark.parametrize(
-    "command, name, content",
+    "command, name, content, flags",
     [
         ("select-hard", "inf.jsonl",
-         json.dumps(_RECORD).replace("[0, 0]", "[1e400, 0]").encode()),
-        ("select-hard", "deep.jsonl", b"[" * 100_000),
-        ("pairs", "p.json", b'{"period": 1e400, "band_at": [0]}'),
-        ("metrics", "pairs.txt", b"a.bsq \xff.bsq\n"),
+         json.dumps(_RECORD).replace("[0, 0]", "[1e400, 0]").encode(), ()),
+        ("select-hard", "deep.jsonl", b"[" * 100_000, ()),
+        ("pairs", "p.json", b'{"period": 1e400, "band_at": [0]}', ()),
+        ("metrics", "pairs.txt", b"a.bsq \xff.bsq\n", ()),
+        ("select-hard", "empty.jsonl", b"", ("--eps", "inf")),
     ],
-    ids=["inf-origin", "deep-nesting", "inf-period", "non-utf8-pair-list"],
+    ids=["inf-origin", "deep-nesting", "inf-period", "non-utf8-pair-list", "inf-eps"],
 )
-def test_malformed_input_exits_1_without_traceback(tmp_path, command, name, content):
+def test_malformed_input_exits_1_without_traceback(tmp_path, command, name, content, flags):
     bad = tmp_path / name
     bad.write_bytes(content)
     if command == "pairs":
         argv = ("pairs", tmp_path, "--pattern", bad, "-o", tmp_path / "out")
     else:
         argv = (command, bad, "-o", tmp_path / "out.json")
-    proc = _run_module(*argv)
+    proc = _run_module(*argv, *flags)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr

@@ -100,13 +100,6 @@ class TestSfaPattern:
         with pytest.raises(ShapeError):
             SfaPattern(np.arange(6).reshape(2, 3))
 
-    def test_lattice_of_roundtrip(self):
-        p = SfaPattern(np.array([[2, 0], [1, 3]]))
-        for band in range(4):
-            lat = p.lattice_of(band)
-            assert p.band_at_cell(lat.offset_row, lat.offset_col) == band
-            assert lat.period == 2
-
     def test_dict_roundtrip(self):
         p = SfaPattern(np.array([[3, 1], [0, 2]]))
         q = SfaPattern.from_dict(p.to_dict())

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specmosaic import (
+    D4_OPS,
     AlignmentError,
     BoundsError,
     FormatError,
@@ -19,7 +20,6 @@ from specmosaic import (
 )
 from specmosaic import dataset
 from specmosaic.dataset import (
-    AUGMENT_OPS,
     AUGMENT_OPS_NONSQUARE,
     PairRecord,
     augment_cube,
@@ -99,7 +99,7 @@ def test_augment_square_all_eight():
     rng = np.random.default_rng(74)
     cube = _rand_cube(rng, 2, 8, 8)
     variants = augment_cube(cube)
-    assert [name for name, _ in variants] == list(AUGMENT_OPS)
+    assert [name for name, _ in variants] == list(D4_OPS)
     assert variants[0][1].data.tobytes() == cube.data.tobytes()
     for name, var in variants:
         assert var.data.shape == cube.data.shape
@@ -264,7 +264,7 @@ def test_pairs_augment_and_patch_counts(tmp_path):
     assert records[4].aug == "rot90cw"
     assert records[0].cube == "img_identity_r00000_c00000_cube.bsq"
     augs = [r.aug for r in records]
-    assert augs == [op for op in AUGMENT_OPS for _ in range(4)]
+    assert augs == [op for op in D4_OPS for _ in range(4)]
 
 
 @pytest.mark.parametrize("patch", [None, (8, 8)])

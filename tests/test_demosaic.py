@@ -11,6 +11,8 @@ from specmosaic import (
     wb_bilinear,
 )
 
+from oracles import lattice_offsets
+
 
 def wb_oracle(mosaic_img, pattern):
     """Per-pixel 4-neighbor bilinear interpolation with clamped lattice
@@ -24,16 +26,16 @@ def wb_oracle(mosaic_img, pattern):
         return a + t * (b - a)
 
     for band in range(pattern.bands):
-        lat = pattern.lattice_of(band)
-        grid = m[lat.offset_row :: p, lat.offset_col :: p]
+        row0, col0 = lattice_offsets(pattern, band)
+        grid = m[row0::p, col0::p]
         nr, nc = grid.shape
         for u in range(h):
-            qu, ru = divmod(u - lat.offset_row, p)
+            qu, ru = divmod(u - row0, p)
             ia = min(max(qu, 0), nr - 1)
             ib = min(max(qu + 1, 0), nr - 1)
             tu = ru / p
             for v in range(w):
-                qv, rv = divmod(v - lat.offset_col, p)
+                qv, rv = divmod(v - col0, p)
                 ja = min(max(qv, 0), nc - 1)
                 jb = min(max(qv + 1, 0), nc - 1)
                 tv = rv / p

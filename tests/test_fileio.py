@@ -30,7 +30,6 @@ from specmosaic.fileio import (
     write_cube,
     write_fvmap,
     write_mosaic,
-    write_pattern_json,
     write_pgm8,
 )
 
@@ -325,7 +324,7 @@ def test_pgm8_zero_map_is_black(tmp_path):
 
 def test_fvmap_export(tmp_path):
     values = np.array([[0.0, 1.5], [3.0, 0.5]])
-    fv = FrequencyVariationMap(values, 1, 1)
+    fv = FrequencyVariationMap(values)
     stem = write_fvmap(fv, tmp_path / "fv", pgm=tmp_path / "fv.pgm")
     cube = read_cube(stem)
     assert cube.bands == 1
@@ -355,7 +354,7 @@ def test_pattern_spec_rejects_bad_strings(tmp_path):
 def test_pattern_spec_json_round_trip(tmp_path):
     pattern = SfaPattern(np.array([[3, 1], [0, 2]]))
     path = tmp_path / "p.json"
-    write_pattern_json(pattern, path)
+    path.write_text(json.dumps(pattern.to_dict()))
     again = load_pattern_spec(str(path))
     assert np.array_equal(again.band_at, pattern.band_at)
 

@@ -295,7 +295,6 @@ def test_zero_law_identical_cubes(bands, h, w, seed):
     a, _ = _cube_pair(bands, h, w, seed)
     fv = frequency_variation_map(a, SpectralCube(a.data.copy()))
     assert fv.values.tobytes() == np.zeros((h, w)).tobytes()
-    assert (fv.dc_row, fv.dc_col) == (h // 2, w // 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -307,6 +306,25 @@ def test_symmetry_bit_exact(bands, h, w, seed):
     a, b = _cube_pair(bands, h, w, seed)
     ab = frequency_variation_map(a, b).values
     assert ab.tobytes() == frequency_variation_map(b, a).values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_fv_cases, g=st.sampled_from([0.25, 0.5, 2.0, 4.0]), t_var=st.floats(0.0, 2.0))
+@example(bands=2, h=64, w=64, seed=1, g=0.5, t_var=1.0)
+@example(bands=2, h=64, w=64, seed=1, g=2.0, t_var=1.0)
+def test_global_gain_bounds_map_by_log_gain(bands, h, w, seed, g, t_var):
+    """A power-of-two gain scales the float32 samples and every FFT bin
+    exactly, and |ln(g*a + eps) - ln(a + eps)| <= |ln g| for a >= 0; the blur
+    (a convex combination) and the channel max keep that bound."""
+    a, _ = _cube_pair(bands, h, w, seed)
+    scaled = SpectralCube(a.data * np.float32(g))
+    assert (scaled.data / np.float32(g)).tobytes() == a.data.tobytes()
+    fv = frequency_variation_map(a, scaled)
+    bound = abs(np.log(g))
+    slack = bound + 8 * np.spacing(bound)  # rounding of the logs and the blur
+    assert fv.values.max() <= slack
+    if t_var >= slack:  # no gain flags a bin it cannot reach
+        assert classify_patch(fv, SelectionParams(t_var=t_var, t_cnt=0)).count == 0
 
 
 def _parent_recipe_map(c1, c2, params):
@@ -405,14 +423,14 @@ def test_shape_mismatch_rejected():
 
 def test_map_type_rejects_non_2d():
     with pytest.raises(ShapeError):
-        FrequencyVariationMap(np.zeros((2, 2, 2)), 1, 1)
+        FrequencyVariationMap(np.zeros((2, 2, 2)))
 
 
 # ------------------------------------------------------- classification
 
 
 def test_all_zero_map_not_hard():
-    fv = FrequencyVariationMap(np.zeros((8, 8)), 4, 4)
+    fv = FrequencyVariationMap(np.zeros((8, 8)))
     v = classify_patch(fv, SelectionParams(t_var=0.5, t_cnt=0))
     assert v.count == 0 and not v.is_hard
 
@@ -420,11 +438,11 @@ def test_all_zero_map_not_hard():
 def test_strict_count_and_threshold():
     values = np.zeros((10, 10))
     values.ravel()[:60] = 2.0
-    fv = FrequencyVariationMap(values, 5, 5)
+    fv = FrequencyVariationMap(values)
     assert classify_patch(fv, SelectionParams(1.0, 50)).is_hard
     assert not classify_patch(fv, SelectionParams(1.0, 60)).is_hard  # 60 > 60 fails
     # bins exactly at t_var do not count (strict >)
-    at_threshold = FrequencyVariationMap(np.full((4, 4), 1.0), 2, 2)
+    at_threshold = FrequencyVariationMap(np.full((4, 4), 1.0))
     assert classify_patch(at_threshold, SelectionParams(1.0, 0)).count == 0
 
 
@@ -443,7 +461,7 @@ _GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 @example(values=np.array([[1.0, 1.0], [2.0, 0.0]]), t_vars=[1.0, 1.0], t_cnts=[1, 1])
 @example(values=np.array([[1.0, 2.0]]), t_vars=[0.5, 1.0], t_cnts=[1, 1])
 def test_selection_is_monotone_in_both_thresholds(values, t_vars, t_cnts):
-    fv = FrequencyVariationMap(values, 0, 0)
+    fv = FrequencyVariationMap(values)
     low, high = (SelectionParams(tv, tc) for tv, tc in zip(t_vars, t_cnts))
     v_low, v_high = classify_patch(fv, low), classify_patch(fv, high)
     assert v_high.count <= v_low.count
@@ -466,6 +484,19 @@ def test_selection_params_validation():
             SelectionParams(t_cnt=t_cnt)
     with pytest.raises(ValueError):
         FreqParams(r_low=0.6, r_high=0.5)
+    # A bool is a slip, not 1.0 or 0.0, in every float field.
+    for field in ("epsilon", "blur_sigma", "r_low", "r_high"):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                FreqParams(**{field: flag})
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="^t_var must be"):
+            SelectionParams(t_var=flag)
+    # An infinite or NaN guard or width gives NaN bins, not a map.
+    for field in ("epsilon", "blur_sigma"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+                FreqParams(**{field: value})
 
 
 # ---------------------------------------------------------- select_hard
@@ -490,23 +521,25 @@ def _sinusoid_fixture(n_pairs=20, h=128, w=128, bands=4, contaminated_index=7):
 def test_identical_pairs_select_nothing():
     rng = np.random.default_rng(48)
     c = SpectralCube(rng.uniform(0, 1, (2, 32, 32)).astype(np.float32))
-    report = select_hard([(c, c)] * 20)
-    assert report.hard_indices == ()
-    assert all(v.count == 0 for v in report.verdicts)
+    verdicts = select_hard([(c, c)] * 20)
+    assert len(verdicts) == 20
+    assert not any(v.is_hard for v in verdicts)
+    assert all(v.count == 0 for v in verdicts)
 
 
 def test_single_contaminated_pair_selected():
-    report = select_hard(_sinusoid_fixture())
-    assert report.hard_indices == (7,)
-    assert report.verdicts[7].count > SelectionParams().t_cnt
-    assert all(v.count == 0 for i, v in enumerate(report.verdicts) if i != 7)
+    verdicts = select_hard(_sinusoid_fixture())
+    assert [i for i, v in enumerate(verdicts) if v.is_hard] == [7]
+    assert verdicts[7].count > SelectionParams().t_cnt
+    assert all(v.count == 0 for i, v in enumerate(verdicts) if i != 7)
 
 
 def test_raising_t_cnt_never_grows_hard_set():
     pairs = _sinusoid_fixture(n_pairs=4, h=32, w=32, contaminated_index=2)
     previous = None
     for t_cnt in (0, 2, 5, 8, 50):
-        hard = set(select_hard(pairs, sparams=SelectionParams(1.0, t_cnt)).hard_indices)
+        verdicts = select_hard(pairs, sparams=SelectionParams(1.0, t_cnt))
+        hard = {i for i, v in enumerate(verdicts) if v.is_hard}
         if previous is not None:
             assert hard <= previous
         previous = hard

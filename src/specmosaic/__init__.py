@@ -21,7 +21,6 @@ The package is organized by pipeline stage:
 
 from ._version import TOOL_VERSION, __version__
 from .core import (
-    D4_INVERSE,
     D4_OPS,
     AlignmentError,
     BoundsError,
@@ -76,7 +75,6 @@ __all__ = [
     "crop_aligned",
     "transform_d4",
     "D4_OPS",
-    "D4_INVERSE",
     # sfa
     "mosaic",
     "remosaic",

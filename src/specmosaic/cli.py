@@ -27,6 +27,7 @@ from .core import DegenerateInputError, FormatError, SpecmosaicError, SpectralCu
 from .core import _as_format_error
 from .dataset import (
     MANIFEST_NAME,
+    _patch_stem,
     _patch_stride,
     filter_hard,
     make_pseudo_pairs,
@@ -191,8 +192,7 @@ def _cmd_patchify(args: argparse.Namespace) -> int:
     out = Path(args.output)
     stem = cube_stem(args.cube).name
     for origin, piece in pieces:
-        name = f"{stem}_r{origin.row:05d}_c{origin.col:05d}"
-        write_cube(piece, out / name, pattern=pattern)
+        write_cube(piece, out / _patch_stem(stem, origin), pattern=pattern)
     print(f"{len(pieces)} patches -> {out}")
     return 0
 

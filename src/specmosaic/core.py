@@ -42,7 +42,6 @@ __all__ = [
     "crop_aligned",
     "transform_d4",
     "D4_OPS",
-    "D4_INVERSE",
     "DTYPE",
 ]
 
@@ -218,9 +217,6 @@ class SfaPattern:
     def bands(self) -> int:
         return self.period * self.period
 
-    def band_at_cell(self, i: int, j: int) -> int:
-        return int(self.band_at[i, j])
-
     def index_map(self, height: int, width: int) -> np.ndarray:
         """(height, width) int array giving the band sampled at each pixel."""
         p = self.period
@@ -332,19 +328,6 @@ def crop_aligned(cube: SpectralCube, origin: PatchOrigin, period: int) -> Spectr
     return SpectralCube(window.copy())
 
 
-D4_INVERSE = {
-    "identity": "identity",
-    "rot90cw": "rot270cw",
-    "rot180": "rot180",
-    "rot270cw": "rot90cw",
-    "flip_h": "flip_h",
-    "flip_v": "flip_v",
-    "transpose": "transpose",
-    "anti_transpose": "anti_transpose",
-}
-#: The 8 square symmetries, in augmentation order.
-D4_OPS = tuple(D4_INVERSE)
-
 # Spatial index maps, applied identically to every band. With out = f(x):
 #   rot90cw:        out[u, v] = x[H-1-v, u]      (top row becomes right column)
 #   rot180:         out[u, v] = x[H-1-u, W-1-v]
@@ -363,6 +346,8 @@ _D4_ARRAY_OPS = {
     "transpose": lambda d: d.swapaxes(1, 2),
     "anti_transpose": lambda d: d[:, ::-1, ::-1].swapaxes(1, 2),
 }
+#: The 8 square symmetries, in augmentation order.
+D4_OPS = tuple(_D4_ARRAY_OPS)
 
 
 def transform_d4(cube: SpectralCube, op: str) -> SpectralCube:

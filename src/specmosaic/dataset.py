@@ -127,7 +127,9 @@ def read_manifest(path: str | Path) -> list[PairRecord]:
     with _as_format_error(f"manifest {path}"):
         text = Path(path).read_text(encoding="utf-8")
     records: list[PairRecord] = []
-    for n, line in enumerate(text.splitlines()):
+    # Not splitlines(): JSON strings may hold U+0085, U+2028 and U+2029 raw,
+    # and read_text has already turned "\r\n" and "\r" into "\n".
+    for n, line in enumerate(text.split("\n")):
         if not line.strip():
             continue
         try:
@@ -200,8 +202,13 @@ def augment_cube(cube: SpectralCube) -> list[tuple[str, SpectralCube]]:
     return [(op, transform_d4(cube, op)) for op in _augment_ops(cube)]
 
 
+def _patch_stem(prefix: str, origin: PatchOrigin) -> str:
+    """``prefix`` plus the patch origin, the one stem format of every patch."""
+    return f"{prefix}_r{origin.row:05d}_c{origin.col:05d}"
+
+
 def _record_stems(source: str, aug: str, origin: PatchOrigin) -> tuple[str, str]:
-    base = f"{source}_{aug}_r{origin.row:05d}_c{origin.col:05d}"
+    base = _patch_stem(f"{source}_{aug}", origin)
     return base + "_cube", base + "_mosaic"
 
 

@@ -55,7 +55,7 @@ def wb_bilinear(mosaic_img: MosaicImage, pattern: SfaPattern) -> SpectralCube:
     for i in range(p):
         ia, ib, tu = _axis_coords(h, i, p, len(range(i, h, p)))
         for j, (ja, jb, tv) in enumerate(col_coords):
-            band = pattern.band_at_cell(i, j)
+            band = int(pattern.band_at[i, j])
             grid = m[i::p, j::p].astype(np.float64)
             if grid.size == 0:
                 raise DegenerateInputError(

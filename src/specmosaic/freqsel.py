@@ -62,6 +62,10 @@ def _check_real(name: str, value, ok: bool, rule: str) -> None:
         raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def _check_positive(name: str, value) -> None:
+    _check_real(name, value, 0 < value < np.inf, "finite and > 0")
+
+
 @dataclass(frozen=True)
 class FreqParams:
     """Knobs for building a frequency-variation map.
@@ -82,8 +86,7 @@ class FreqParams:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "blur_sigma"):
-            value = getattr(self, name)
-            _check_real(name, value, 0 < value < np.inf, "finite and > 0")
+            _check_positive(name, getattr(self, name))
         _check_whole("blur_radius", self.blur_radius, 1)
         _check_real("r_low", self.r_low, self.r_low >= 0, ">= 0")
         _check_real("r_high", self.r_high, self.r_low < self.r_high <= 1, "in (r_low, 1]")
@@ -144,8 +147,7 @@ def centered_spectrum(band: np.ndarray) -> np.ndarray:
 def log_magnitude(spectrum: np.ndarray, epsilon: float) -> np.ndarray:
     """Elementwise ln(|S| + epsilon). The guard is added to the modulus so
     empty bins map to the finite floor ln(epsilon)."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check_positive("epsilon", epsilon)
     mag = np.add(np.abs(spectrum), epsilon)  # float, whatever the input dtype
     # An array takes the log in place; a 0-d input gives a scalar, which cannot.
     return np.log(mag, out=mag if isinstance(mag, np.ndarray) else None)
@@ -194,8 +196,7 @@ def gaussian_blur(map2d: np.ndarray, sigma: float, radius: int) -> np.ndarray:
     float64 map of the input's shape, as the view :func:`_corr_valid` gives
     (it may be strided, never shares memory with the input).
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _check_positive("sigma", sigma)
     _check_whole("radius", radius, 1)
     out = np.asarray(map2d, dtype=np.float64)
     if out.ndim != 2:

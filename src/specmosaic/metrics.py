@@ -21,7 +21,7 @@ import numpy as np
 from ._threads import map_pairs
 from ._version import TOOL_VERSION
 from .core import DegenerateInputError, ShapeError, SpectralCube
-from .freqsel import _corr_valid, _gauss_kernel
+from .freqsel import _check_positive, _corr_valid, _gauss_kernel
 
 __all__ = [
     "psnr",
@@ -58,8 +58,7 @@ def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
 def psnr(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB: 10*log10(peak^2 / MSE) with the MSE
     taken over every sample of the cube. Identical inputs return +inf."""
-    if not peak > 0:
-        raise ValueError(f"peak must be > 0, got {peak}")
+    _check_positive("peak", peak)
     af, bf = _paired(a, b)
     diff = np.subtract(af, bf, dtype=np.float64)
     mse = float(np.mean(np.multiply(diff, diff, out=diff)))

@@ -1,11 +1,26 @@
-"""Reference kernels shared by several test modules.
+"""Reference kernels and tables shared by several test modules.
 
-Each restates an earlier form of a library kernel, so that the library's
-faster form can be checked against it byte for byte without importing the
-code under test.
+Each restates a library rule without importing the code under test: either
+an earlier form of a kernel, so that the faster form can be checked against
+it byte for byte, or a direct definition (a score one window or pixel at a
+time, the DFT one bin at a time), checked to a stated tolerance.
 """
 
+import math
+
 import numpy as np
+
+#: The inverse of each square symmetry, by name.
+D4_INVERSE = {
+    "identity": "identity",
+    "rot90cw": "rot270cw",
+    "rot180": "rot180",
+    "rot270cw": "rot90cw",
+    "flip_h": "flip_h",
+    "flip_v": "flip_v",
+    "transpose": "transpose",
+    "anti_transpose": "anti_transpose",
+}
 
 
 def lattice_offsets(pattern, band):
@@ -39,3 +54,75 @@ def two_axis_taps(img, kernel):
             acc += tap(i)
         out = acc
     return out
+
+
+def dft_oracle_centered(x):
+    """Direct-definition O(N^4) DFT with the DC bin moved to
+    (H//2, W//2) by explicit index arithmetic."""
+    h, w = x.shape
+    uu = np.arange(h)[:, None]
+    vv = np.arange(w)[None, :]
+    out = np.zeros((h, w), dtype=complex)
+    for ku in range(h):
+        for kv in range(w):
+            phase = np.exp(-2j * np.pi * (ku * uu / h + kv * vv / w))
+            out[(ku + h // 2) % h, (kv + w // 2) % w] = np.sum(x * phase)
+    return out
+
+
+def psnr_oracle(a, b, peak=1.0):
+    """10 log10(peak^2 / MSE), the MSE as an exact sum over every sample."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    mse = math.fsum((x - y) ** 2 for x, y in zip(a, b)) / a.size
+    if mse == 0.0:
+        return math.inf
+    return 10.0 * math.log10(peak * peak / mse)
+
+
+def sam_oracle(a, b, guard=1e-12):
+    """Mean spectral angle in degrees, one pixel at a time, over the pixels
+    whose two spectra both have norm >= guard."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    angles = []
+    for i in range(a.shape[1]):
+        for j in range(a.shape[2]):
+            va, vb = a[:, i, j], b[:, i, j]
+            daa = math.fsum(float(x) * float(x) for x in va)
+            dbb = math.fsum(float(x) * float(x) for x in vb)
+            if math.sqrt(daa) < guard or math.sqrt(dbb) < guard:
+                continue
+            dab = math.fsum(float(x) * float(y) for x, y in zip(va, vb))
+            cos = dab / math.sqrt(daa * dbb)
+            angles.append(math.degrees(math.acos(max(-1.0, min(1.0, cos)))))
+    if not angles:
+        raise ValueError("no valid pixels")
+    return math.fsum(angles) / len(angles)
+
+
+def ssim_oracle(a, b):
+    """Mean SSIM, one 11x11 Gaussian window (sigma 1.5) at a time over the
+    valid region of each band, then averaged across bands."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    kern = np.outer(gauss_taps(1.5, 5), gauss_taps(1.5, 5))
+    c1 = (0.01 * 1.0) ** 2
+    c2 = (0.03 * 1.0) ** 2
+    band_means = []
+    for band in range(a.shape[0]):
+        vals = []
+        for i in range(a.shape[1] - 10):
+            for j in range(a.shape[2] - 10):
+                wx = a[band, i : i + 11, j : j + 11]
+                wy = b[band, i : i + 11, j : j + 11]
+                mx = np.sum(kern * wx)
+                my = np.sum(kern * wy)
+                sxx = np.sum(kern * wx * wx) - mx * mx
+                syy = np.sum(kern * wy * wy) - my * my
+                sxy = np.sum(kern * wx * wy) - mx * my
+                num = (2 * mx * my + c1) * (2 * sxy + c2)
+                den = (mx * mx + my * my + c1) * (sxx + syy + c2)
+                vals.append(num / den)
+        band_means.append(np.mean(vals))
+    return float(np.mean(band_means))

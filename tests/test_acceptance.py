@@ -2,9 +2,10 @@
 
 One test per shipped guarantee; each records a PASS/FAIL line through the
 shared ``criterion`` fixture. Kernels are checked against direct-definition
-oracles restated locally (not imported from the library), and the batch
-pipeline runs through the installed command-line entry point in subprocesses
-so worker-count determinism is exercised across real process boundaries.
+oracles restated in ``tests/oracles.py`` (not imported from the library),
+and the batch pipeline runs through the installed command-line entry point
+in subprocesses so worker-count determinism is exercised across real process
+boundaries.
 Tolerances and timing budgets are fixed here, not tuned to the
 implementation.
 """
@@ -41,7 +42,13 @@ from specmosaic import (
 from specmosaic.dataset import read_manifest
 from specmosaic.fileio import read_cube, read_mosaic, read_sidecar, write_cube
 
-from oracles import lattice_offsets
+from oracles import (
+    dft_oracle_centered,
+    lattice_offsets,
+    psnr_oracle,
+    sam_oracle,
+    ssim_oracle,
+)
 
 # --------------------------------------------------------------- plumbing
 
@@ -178,59 +185,6 @@ def pipeline_run(tmp_path_factory, pipeline_sources):
     )
 
 
-# ----------------------------------------------------- criterion 1 oracles
-
-
-def _psnr_oracle(a, b, peak=1.0):
-    diff = (np.asarray(a, np.float64) - np.asarray(b, np.float64)).ravel()
-    mse = math.fsum(float(d) * float(d) for d in diff) / diff.size
-    return math.inf if mse == 0.0 else 10.0 * math.log10(peak * peak / mse)
-
-
-def _sam_oracle(a, b, guard=1e-12):
-    a = np.asarray(a, np.float64)
-    b = np.asarray(b, np.float64)
-    angles = []
-    for i in range(a.shape[1]):
-        for j in range(a.shape[2]):
-            daa = math.fsum(float(x) * float(x) for x in a[:, i, j])
-            dbb = math.fsum(float(x) * float(x) for x in b[:, i, j])
-            if math.sqrt(daa) < guard or math.sqrt(dbb) < guard:
-                continue
-            dab = math.fsum(
-                float(x) * float(y) for x, y in zip(a[:, i, j], b[:, i, j])
-            )
-            cos = max(-1.0, min(1.0, dab / math.sqrt(daa * dbb)))
-            angles.append(math.degrees(math.acos(cos)))
-    return math.fsum(angles) / len(angles)
-
-
-def _ssim_oracle(a, b):
-    a = np.asarray(a, np.float64)
-    b = np.asarray(b, np.float64)
-    k1 = np.exp(-0.5 * (np.arange(-5, 6, dtype=np.float64) / 1.5) ** 2)
-    k1 /= k1.sum()
-    kern = np.outer(k1, k1)
-    c1, c2 = 0.01**2, 0.03**2
-    band_means = []
-    for band in range(a.shape[0]):
-        vals = []
-        for i in range(a.shape[1] - 10):
-            for j in range(a.shape[2] - 10):
-                wx = a[band, i : i + 11, j : j + 11]
-                wy = b[band, i : i + 11, j : j + 11]
-                mx, my = np.sum(kern * wx), np.sum(kern * wy)
-                sxx = np.sum(kern * wx * wx) - mx * mx
-                syy = np.sum(kern * wy * wy) - my * my
-                sxy = np.sum(kern * wx * wy) - mx * my
-                vals.append(
-                    ((2 * mx * my + c1) * (2 * sxy + c2))
-                    / ((mx * mx + my * my + c1) * (sxx + syy + c2))
-                )
-        band_means.append(np.mean(vals))
-    return float(np.mean(band_means))
-
-
 def test_criterion_1_metric_oracle_equivalence(criterion):
     with criterion(1, "metric oracle equivalence"):
         t0 = time.perf_counter()
@@ -238,14 +192,14 @@ def test_criterion_1_metric_oracle_equivalence(criterion):
         for _ in range(100):
             a = rng.uniform(0, 1, (4, 8, 8))
             b = rng.uniform(0, 1, (4, 8, 8))
-            assert abs(psnr(a, b) - _psnr_oracle(a, b)) < 1e-9
-            assert abs(sam(a, b) - _sam_oracle(a, b)) < 1e-9
+            assert abs(psnr(a, b) - psnr_oracle(a, b)) < 1e-9
+            assert abs(sam(a, b) - sam_oracle(a, b)) < 1e-9
         # the windowed index needs 11x11 spatial support, so its oracle
         # comparison runs at 16x16 with the same band count
         for _ in range(100):
             a = rng.uniform(0, 1, (4, 16, 16))
             b = rng.uniform(0, 1, (4, 16, 16))
-            assert abs(ssim(a, b) - _ssim_oracle(a, b)) < 1e-7
+            assert abs(ssim(a, b) - ssim_oracle(a, b)) < 1e-7
         # closed forms
         a = rng.uniform(0, 0.5, (4, 16, 16))
         assert abs(psnr(a + 0.1, a, 1.0) - 20.0) <= 1e-9
@@ -259,18 +213,6 @@ def test_criterion_1_metric_oracle_equivalence(criterion):
 # ------------------------------------------------------------ criterion 2
 
 
-def _dft_oracle_centered(x):
-    h, w = x.shape
-    uu = np.arange(h)[:, None]
-    vv = np.arange(w)[None, :]
-    out = np.zeros((h, w), dtype=complex)
-    for ku in range(h):
-        for kv in range(w):
-            phase = np.exp(-2j * np.pi * (ku * uu / h + kv * vv / w))
-            out[(ku + h // 2) % h, (kv + w // 2) % w] = np.sum(x * phase)
-    return out
-
-
 def test_criterion_2_spectrum_matches_brute_force(criterion):
     with criterion(2, "centered spectrum vs O(N^4) DFT"):
         t0 = time.perf_counter()
@@ -279,7 +221,7 @@ def test_criterion_2_spectrum_matches_brute_force(criterion):
             for w in range(1, 9):
                 x = rng.uniform(-1, 1, (h, w))
                 got = centered_spectrum(x)
-                want = _dft_oracle_centered(x)
+                want = dft_oracle_centered(x)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) <= 1e-9 * scale
                 # constant input: all energy in one centered DC bin

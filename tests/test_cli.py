@@ -384,6 +384,25 @@ def test_module_entry_point_runs():
     assert proc.stdout.startswith("specmosaic ")
 
 
+def test_stages_fork_workers_with_no_other_thread_alive(tmp_path, monkeypatch):
+    # Python 3.12 warns when a process forks while it has other threads; the
+    # warning is a DeprecationWarning, which a CLI run hides unless a filter
+    # shows it ("error" cannot fail on it: the interpreter clears it).
+    src, ds = tmp_path / "src", tmp_path / "ds"
+    for i in range(2):
+        _write_const_cube(src / f"c{i:02d}", [0.3, 0.5, 0.6, 0.8], sine_band=i)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+    monkeypatch.setenv("PYTHONWARNINGS", "always:This process:DeprecationWarning")
+    for argv in (
+        ("pairs", src, "--pattern", "2x2", "-o", ds),
+        ("select-hard", ds / "manifest.jsonl", "-o", tmp_path / "hard.jsonl"),
+        ("metrics", ds / "manifest.jsonl", "-o", tmp_path / "report.json"),
+    ):
+        proc = _run_module(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "fork()" not in proc.stderr
+
+
 _RECORD = {"mosaic": "m.bsq", "cube": "c.bsq", "source": "s", "origin": [0, 0], "aug": "identity"}
 
 

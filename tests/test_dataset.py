@@ -1,5 +1,6 @@
 import json
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ def test_manifest_blank_lines_skipped(tmp_path):
     line = PairRecord("m.bsq", "c.bsq", "s", (0, 0), "identity").to_json_line()
     path.write_text("\n" + line + "\n\n" + line + "\n")
     assert len(read_manifest(path)) == 2
+
+
+def test_manifest_keeps_raw_unicode_line_separators(tmp_path):
+    # JSON allows U+0085, U+2028 and U+2029 raw inside strings, and
+    # str.splitlines() would break a line at each of them.
+    records = [
+        PairRecord("m\u2028a.bsq", "c\u2029a.bsq", "s\u0085a", (0, 0), "identity"),
+        PairRecord("m_b.bsq", "c_b.bsq", "\u2028", (4, 8), "flip_h", False, 3),
+    ]
+    lines = [json.dumps(asdict(r), ensure_ascii=False) for r in records]
+    path = tmp_path / "m.jsonl"
+    path.write_bytes((lines[0] + "\r\n" + lines[1] + "\n").encode("utf-8"))
+    assert read_manifest(path) == records
 
 
 def test_manifest_bad_line_reports_number(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -16,27 +16,14 @@ from specmosaic import (
     frequency_variation_map,
     gaussian_blur,
     log_magnitude,
+    psnr,
     select_hard,
 )
 from specmosaic.freqsel import _corr_valid
 
-from oracles import gauss_taps, two_axis_taps
+from oracles import dft_oracle_centered, gauss_taps, two_axis_taps
 
 # ---------------------------------------------------------------- oracles
-
-
-def dft_oracle_centered(x):
-    """Direct-definition O(N^4) DFT with the DC bin moved to
-    (H//2, W//2) by explicit index arithmetic."""
-    h, w = x.shape
-    uu = np.arange(h)[:, None]
-    vv = np.arange(w)[None, :]
-    out = np.zeros((h, w), dtype=complex)
-    for ku in range(h):
-        for kv in range(w):
-            phase = np.exp(-2j * np.pi * (ku * uu / h + kv * vv / w))
-            out[(ku + h // 2) % h, (kv + w // 2) % w] = np.sum(x * phase)
-    return out
 
 
 def blur_oracle(img, sigma, radius):
@@ -156,6 +143,22 @@ def test_log_magnitude_keeps_plain_formula_for_any_input(spectrum):
 def test_log_magnitude_requires_positive_epsilon():
     with pytest.raises(ValueError):
         log_magnitude(np.zeros((2, 2), dtype=complex), 0.0)
+
+
+@pytest.mark.parametrize("bad", [True, float("inf"), float("nan"), 0])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("epsilon", lambda v: log_magnitude(np.ones((2, 2), dtype=complex), v)),
+        ("sigma", lambda v: gaussian_blur(np.ones((4, 4)), v, 2)),
+        ("peak", lambda v: psnr(np.zeros((1, 2, 2)), np.ones((1, 2, 2)), peak=v)),
+    ],
+    ids=["log_magnitude", "gaussian_blur", "psnr"],
+)
+def test_kernel_widths_must_be_finite_and_positive(name, call, bad):
+    # The rule FreqParams applies to epsilon and blur_sigma.
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad!r}$"):
+        call(bad)
 
 
 # -------------------------------------------------------- gaussian_blur
@@ -325,6 +328,44 @@ def test_global_gain_bounds_map_by_log_gain(bands, h, w, seed, g, t_var):
     assert fv.values.max() <= slack
     if t_var >= slack:  # no gain flags a bin it cannot reach
         assert classify_patch(fv, SelectionParams(t_var=t_var, t_cnt=0)).count == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bands=st.integers(1, 3),
+    h=st.integers(4, 79),
+    w=st.integers(4, 79),
+    seed=st.integers(0, 2**32 - 1),
+    offsets=st.lists(st.integers(-1024, 1024), min_size=3, max_size=3),
+    radius=st.integers(1, 6),
+    sigma=st.floats(0.5, 3.0),
+    frac=st.floats(1e-6, 0.999),
+)
+@example(bands=3, h=64, w=64, seed=7, offsets=[307, -410, 1024], radius=5, sigma=1.5,
+         frac=1e-6)
+@example(bands=1, h=18, w=79, seed=0, offsets=[-1024, 0, 0], radius=6, sigma=3.0,
+         frac=1e-6)
+def test_per_band_offset_stays_out_of_an_annulus_beyond_the_blur(
+    bands, h, w, seed, offsets, radius, sigma, frac
+):
+    """A per-band offset moves only the DC bin, and the blur spreads that bin
+    over a (2*radius + 1)^2 square whose corners sit radius*sqrt(2) from DC.
+    An annulus that starts beyond them keeps only FFT roundoff."""
+    r_max = min(h, w) / 2.0
+    reach = radius * np.sqrt(2.0) / r_max  # the blurred spike's reach over R
+    assume(reach < 1.0)
+    rng = np.random.default_rng(seed)
+    # Samples and offsets on a 2^-10 grid, so each float32 sum is exact.
+    a = (rng.integers(0, 1025, (bands, h, w)) / 1024).astype(np.float32)
+    shift = (np.asarray(offsets[:bands]) / 1024).astype(np.float32)[:, None, None]
+    b = a + shift
+    assert (b.astype(np.float64) - a == shift).all()  # the sums are exact
+    params = FreqParams(
+        blur_sigma=sigma, blur_radius=radius, r_low=reach + (1.0 - reach) * frac, r_high=1.0
+    )
+    fv = frequency_variation_map(SpectralCube(a), SpectralCube(b), params)
+    assert classify_patch(fv).count == 0
+    assert fv.values.max() <= 1e-3
 
 
 def _parent_recipe_map(c1, c2, params):

@@ -18,65 +18,7 @@ from specmosaic import (
     ssim,
 )
 
-from oracles import gauss_taps, two_axis_taps
-
-# ---------------------------------------------------------------- oracles
-
-
-def psnr_oracle(a, b, peak=1.0):
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    mse = math.fsum((x - y) ** 2 for x, y in zip(a, b)) / a.size
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
-
-
-def sam_oracle(a, b, guard=1e-12):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    angles = []
-    for i in range(a.shape[1]):
-        for j in range(a.shape[2]):
-            va, vb = a[:, i, j], b[:, i, j]
-            daa = math.fsum(float(x) * float(x) for x in va)
-            dbb = math.fsum(float(x) * float(x) for x in vb)
-            if math.sqrt(daa) < guard or math.sqrt(dbb) < guard:
-                continue
-            dab = math.fsum(float(x) * float(y) for x, y in zip(va, vb))
-            cos = dab / math.sqrt(daa * dbb)
-            angles.append(math.degrees(math.acos(max(-1.0, min(1.0, cos)))))
-    if not angles:
-        raise ValueError("no valid pixels")
-    return math.fsum(angles) / len(angles)
-
-
-def ssim_oracle(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    k1 = np.exp(-0.5 * (np.arange(-5, 6, dtype=np.float64) / 1.5) ** 2)
-    k1 /= k1.sum()
-    kern = np.outer(k1, k1)
-    c1 = (0.01 * 1.0) ** 2
-    c2 = (0.03 * 1.0) ** 2
-    band_means = []
-    for band in range(a.shape[0]):
-        vals = []
-        for i in range(a.shape[1] - 10):
-            for j in range(a.shape[2] - 10):
-                wx = a[band, i : i + 11, j : j + 11]
-                wy = b[band, i : i + 11, j : j + 11]
-                mx = np.sum(kern * wx)
-                my = np.sum(kern * wy)
-                sxx = np.sum(kern * wx * wx) - mx * mx
-                syy = np.sum(kern * wy * wy) - my * my
-                sxy = np.sum(kern * wx * wy) - mx * my
-                num = (2 * mx * my + c1) * (2 * sxy + c2)
-                den = (mx * mx + my * my + c1) * (sxx + syy + c2)
-                vals.append(num / den)
-        band_means.append(np.mean(vals))
-    return float(np.mean(band_means))
-
+from oracles import gauss_taps, psnr_oracle, sam_oracle, ssim_oracle, two_axis_taps
 
 def _rand_pair(rng, shape=(4, 16, 16)):
     a = rng.uniform(0, 1, shape)

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specmosaic import (
-    D4_INVERSE,
     D4_OPS,
     MosaicImage,
     SfaPattern,
@@ -25,6 +24,8 @@ from specmosaic import (
 from specmosaic.dataset import AUGMENT_OPS_NONSQUARE
 from specmosaic.demosaic import wb_bilinear
 from specmosaic.fileio import read_cube, read_sidecar, write_cube
+
+from oracles import D4_INVERSE
 
 _EXP = np.uint32(0x7F800000)  # float32 exponent bits; all set means inf or nan
 _SPECIAL = np.array([0x80000000, 0x00000001, 0x807FFFFF, 0x00800000], dtype=np.uint32)

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import time
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -127,6 +128,19 @@ def test_pool_cancels_items_not_started_after_a_failure(monkeypatch, tmp_path):
     # Item 0 fails at once; only the few items already handed to a worker run.
     assert len(list(tmp_path.iterdir())) <= 8
     assert multiprocessing.active_children() == []
+
+
+@needs_two_cpus
+def test_pool_forks_with_no_other_thread_alive(monkeypatch):
+    # From Python 3.12 a fork while the process has other threads (OS
+    # threads, so a BLAS pool too) emits a DeprecationWarning. The warning
+    # cannot be turned into an error, because the interpreter clears it, so
+    # it is recorded and counted here.
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        assert map_records(abs, range(-4, 0)) == [4, 3, 2, 1]
+    assert [str(w.message) for w in log if "fork()" in str(w.message)] == []
 
 
 @pytest.mark.parametrize("threads, n_items", [("1", 5), ("2", 1)])

@@ -168,9 +168,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         form = "pair list"
         with _as_format_error(f"{form} {path}"):
             text = path.read_text(encoding="utf-8")
+        # Split as read_manifest does: splitlines() would also break at
+        # U+0085, U+2028 and U+2029, and report a fragment of the line.
         loaders = [
             partial(_listed_pair, path, clamp, n, line.strip())
-            for n, line in enumerate(text.splitlines())
+            for n, line in enumerate(text.split("\n"))
             if line.strip() and not line.strip().startswith("#")
         ]
     if not loaders:

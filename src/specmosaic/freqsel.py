@@ -16,9 +16,17 @@ here compares two cubes channel by channel:
        a global gain g still moves every bin by up to |ln g|) and the
        outermost corners (quantization hash),
 
-producing a frequency-variation map. A patch is declared *hard* when the
-number of map bins strictly above ``t_var`` strictly exceeds ``t_cnt``. Hard
-patches are the ones worth keeping when curating a fine-tuning set.
+producing a frequency-variation map. No bin farther than r_high*R_max rows
+or columns from DC survives step 6, so steps 2-5 run only on that box, and
+the blur reads it grown by its radius, gathered from the unshifted spectrum.
+This is exact, not an approximation: clipping the gather index at the map
+edge is np.pad(mode="edge"), taking it mod the side is fftshift, and a row
+FFT of every row followed by a column FFT of the needed columns is those
+columns of fft2, which runs the same two 1D passes in the same order.
+
+A patch is declared *hard* when the number of map bins strictly above
+``t_var`` strictly exceeds ``t_cnt``. Hard patches are the ones worth keeping
+when curating a fine-tuning set.
 
 Everything is computed in float64 with fixed reduction order, so results are
 independent of worker scheduling.
@@ -26,6 +34,7 @@ independent of worker scheduling.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -137,7 +146,11 @@ class PatchVerdict:
 
 def centered_spectrum(band: np.ndarray) -> np.ndarray:
     """Unnormalized forward 2D DFT with the DC bin circularly shifted to
-    (floor(H/2), floor(W/2)); valid for both parities."""
+    (floor(H/2), floor(W/2)); valid for both parities.
+
+    The reference form of the map's step 1; no pipeline calls it. It stays
+    public while the benchmark's per-layer trace still looks it up.
+    """
     arr = np.asarray(band, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2D map, got shape {arr.shape}")
@@ -195,6 +208,9 @@ def gaussian_blur(map2d: np.ndarray, sigma: float, radius: int) -> np.ndarray:
     equals dense 2D convolution with the outer-product kernel. Returns a
     float64 map of the input's shape, as the view :func:`_corr_valid` gives
     (it may be strided, never shares memory with the input).
+
+    The reference form of the map's step 4; no pipeline calls it. It stays
+    public while the benchmark's per-layer trace still looks it up.
     """
     _check_positive("sigma", sigma)
     _check_whole("radius", radius, 1)
@@ -202,6 +218,15 @@ def gaussian_blur(map2d: np.ndarray, sigma: float, radius: int) -> np.ndarray:
     if out.ndim != 2:
         raise ShapeError(f"expected a 2D map, got shape {out.shape}")
     return _corr_valid(np.pad(out, radius, mode="edge"), _gauss_kernel(sigma, radius))
+
+
+def _box_source(n: int, reach: int, radius: int) -> tuple[int, int, np.ndarray]:
+    """Kept span [lo, hi] of one centered axis of length n, and the unshifted
+    spectrum index of each of the hi - lo + 1 + 2*radius samples its blur
+    reads: the clip is np.pad(mode="edge"), the mod is fftshift."""
+    lo, hi = max(0, n // 2 - reach), min(n - 1, n // 2 + reach)
+    shifted = np.clip(np.arange(lo - radius, hi + radius + 1), 0, n - 1)
+    return lo, hi, (shifted - n // 2) % n
 
 
 def frequency_variation_map(
@@ -218,27 +243,42 @@ def frequency_variation_map(
             f"cube shapes differ: {c1.data.shape} vs {c2.data.shape}"
         )
     h, w = c1.height, c1.width
-    acc: np.ndarray | None = None
-    # Every FFT runs in place in this one buffer (fft2's out= needs NumPy 2):
+    r_max = min(h, w) / 2.0
+    r_out = params.r_high * r_max
+    # No bin more than floor(r_out) rows or columns from DC is kept, so only
+    # that box is blurred; the blur reads the box grown by its radius.
+    reach, radius = math.floor(r_out), params.blur_radius
+    top, bottom, rows = _box_source(h, reach, radius)
+    left, right, cols = _box_source(w, reach, radius)
+    fft_cols, col_at = np.unique(cols, return_inverse=True)
+    kernel = _gauss_kernel(params.blur_sigma, radius)
+    # The row FFTs run in place in this one buffer (out= needs NumPy 2):
     # a fresh complex map per transform costs more than copying the band in.
     spec = np.empty((h, w), dtype=np.complex128)
+
+    def log_box(cube: SpectralCube, k: int) -> np.ndarray:
+        spec[...] = cube.band(k)
+        # fft2 runs axis -1, then axis -2, one vector at a time, so the
+        # column FFT of a subset of columns gives those columns of fft2.
+        np.fft.fft(spec, axis=1, out=spec)
+        part = spec[:, fft_cols]
+        np.fft.fft(part, axis=0, out=part)
+        return log_magnitude(part[rows[:, None], col_at], params.epsilon)
+
+    acc: np.ndarray | None = None
     for k in range(c1.bands):
-        spec[...] = c1.band(k)
-        d = log_magnitude(np.fft.fft2(spec, out=spec), params.epsilon)
-        spec[...] = c2.band(k)
-        d -= log_magnitude(np.fft.fft2(spec, out=spec), params.epsilon)
-        # Every step between the FFTs and the blur is elementwise, so one
-        # shift of the difference equals shifting both spectra.
-        d = np.fft.fftshift(np.abs(d, out=d))
-        r = gaussian_blur(d, params.blur_sigma, params.blur_radius)
+        d = log_box(c1, k)
+        d -= log_box(c2, k)
+        r = _corr_valid(np.abs(d, out=d), kernel)
         acc = r if acc is None else np.maximum(acc, r, out=acc)
     assert acc is not None
-    uu = np.arange(h, dtype=np.float64)[:, None] - h // 2
-    vv = np.arange(w, dtype=np.float64)[None, :] - w // 2
+    uu = np.arange(top, bottom + 1, dtype=np.float64)[:, None] - h // 2
+    vv = np.arange(left, right + 1, dtype=np.float64)[None, :] - w // 2
     dist = np.sqrt(uu * uu + vv * vv)
-    r_max = min(h, w) / 2.0
-    keep = (dist >= params.r_low * r_max) & (dist <= params.r_high * r_max)
-    return FrequencyVariationMap(np.where(keep, acc, 0.0))
+    keep = (dist >= params.r_low * r_max) & (dist <= r_out)
+    out = np.zeros((h, w))
+    out[top : bottom + 1, left : right + 1] = np.where(keep, acc, 0.0)
+    return FrequencyVariationMap(out)
 
 
 def classify_patch(

@@ -278,6 +278,18 @@ def test_metrics_bad_pair_line_reports_index(tmp_path, capsys):
     assert "record 0" in err
 
 
+def test_metrics_pair_line_keeps_raw_unicode_line_separator(tmp_path):
+    # U+2028 is whitespace, so the line has three fields; the message must
+    # name it whole, as line 1, not the fragment before the separator.
+    line = "a\u2028b.bsq ref.bsq"
+    pair_list = tmp_path / "pairs.txt"
+    pair_list.write_text(line + "\n", encoding="utf-8")
+    proc = _run_module("metrics", pair_list, "-o", tmp_path / "r.json")
+    assert proc.returncode == 1
+    assert f"{pair_list} line 1: expected '<recon> <ref>', got {line!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("name, content, form", [
     ("hard.jsonl", "", "manifest"),  # what select-hard writes when it keeps nothing
     ("pairs.txt", "# recon ref\n\n", "pair list"),

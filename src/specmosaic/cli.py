@@ -42,6 +42,7 @@ from .fileio import (
     load_pattern_spec,
     read_cube,
     read_mosaic,
+    read_sidecar,
     write_cube,
     write_fvmap,
     write_mosaic,
@@ -193,8 +194,10 @@ def _cmd_patchify(args: argparse.Namespace) -> int:
     pieces = patchify(cube, *args.patch, stride, pattern.period)
     out = Path(args.output)
     stem = cube_stem(args.cube).name
+    wavelengths = read_sidecar(args.cube).wavelengths_nm
     for origin, piece in pieces:
-        write_cube(piece, out / _patch_stem(stem, origin), pattern=pattern)
+        write_cube(piece, out / _patch_stem(stem, origin), pattern=pattern,
+                   wavelengths_nm=wavelengths)
     print(f"{len(pieces)} patches -> {out}")
     return 0
 

@@ -225,7 +225,8 @@ def make_pseudo_pairs(
 
     For every input cube: (optionally) augment, (optionally) patchify, and
     for each resulting label patch write the patch cube plus the mosaic
-    re-sampled from it, both carrying the pattern in their sidecars. Paths in
+    re-sampled from it, both carrying the pattern in their sidecars (the
+    cube also the source's ``wavelengths_nm``, if any). Paths in
     the returned records (and the manifest written to
     ``out_dir/MANIFEST_NAME``) are relative to ``out_dir``. Re-reading any
     record and re-sampling its cube reproduces its mosaic bit-exactly.
@@ -249,7 +250,9 @@ def make_pseudo_pairs(
     if len(set(ids)) != len(ids):
         raise FormatError(f"duplicate source cube names in {sorted(ids)}")
 
-    def emit(source_id: str, aug: str, var: SpectralCube) -> list[PairRecord]:
+    def emit(
+        source_id: str, aug: str, var: SpectralCube, wavelengths: tuple[float, ...] | None
+    ) -> list[PairRecord]:
         # Cuts and writes one variant; it and its patches die on return.
         if patch is not None:
             pieces = patchify(var, patch_h, patch_w, stride, pattern.period)
@@ -258,7 +261,7 @@ def make_pseudo_pairs(
         records: list[PairRecord] = []
         for origin, label in pieces:
             cube_name, mosaic_name = _record_stems(source_id, aug, origin)
-            write_cube(label, out / cube_name, pattern=pattern)
+            write_cube(label, out / cube_name, pattern=pattern, wavelengths_nm=wavelengths)
             write_mosaic(remosaic(label, pattern), out / mosaic_name, pattern=pattern)
             records.append(
                 PairRecord(
@@ -279,11 +282,13 @@ def make_pseudo_pairs(
                 f"cube {path} has {cube.bands} bands but pattern "
                 f"period {pattern.period} requires {pattern.bands}"
             )
+        # D4 ops and crops keep band order, so every patch keeps the list.
+        wavelengths = read_sidecar(path).wavelengths_nm
         if not augment:
-            return emit(source_id, "identity", cube)
+            return emit(source_id, "identity", cube, wavelengths)
         records: list[PairRecord] = []
         for op in _augment_ops(cube):
-            records += emit(source_id, op, transform_d4(cube, op))
+            records += emit(source_id, op, transform_d4(cube, op), wavelengths)
         return records
 
     per_source = map_records(job, zip(ids, sources), what="source")

@@ -23,6 +23,11 @@ This is exact, not an approximation: clipping the gather index at the map
 edge is np.pad(mode="edge"), taking it mod the side is fftshift, and a row
 FFT of every row followed by a column FFT of the needed columns is those
 columns of fft2, which runs the same two 1D passes in the same order.
+A band whose two samples are equal is skipped: its spectra are equal, so
+its log difference is +0.0 in every bin and cannot raise the channel max,
+which starts from a zero box. Equal means equal values, so a zero's sign
+may differ (every FFT intermediate is then numerically equal); NaN and
+infinite bands still run every step, which propagates them.
 
 A patch is declared *hard* when the number of map bins strictly above
 ``t_var`` strictly exceeds ``t_cnt``. Hard patches are the ones worth keeping
@@ -220,6 +225,11 @@ def gaussian_blur(map2d: np.ndarray, sigma: float, radius: int) -> np.ndarray:
     return _corr_valid(np.pad(out, radius, mode="edge"), _gauss_kernel(sigma, radius))
 
 
+def _equal_bands(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether two bands hold equal, finite values (zeros of either sign)."""
+    return np.array_equal(x, y) and bool(np.isfinite(x).all())
+
+
 def _box_source(n: int, reach: int, radius: int) -> tuple[int, int, np.ndarray]:
     """Kept span [lo, hi] of one centered axis of length n, and the unshifted
     spectrum index of each of the hi - lo + 1 + 2*radius samples its blur
@@ -265,13 +275,13 @@ def frequency_variation_map(
         np.fft.fft(part, axis=0, out=part)
         return log_magnitude(part[rows[:, None], col_at], params.epsilon)
 
-    acc: np.ndarray | None = None
+    acc = np.zeros((bottom - top + 1, right - left + 1))
     for k in range(c1.bands):
+        if _equal_bands(c1.band(k), c2.band(k)):
+            continue  # blurs to +0.0, and max(acc, +0.0) is acc
         d = log_box(c1, k)
         d -= log_box(c2, k)
-        r = _corr_valid(np.abs(d, out=d), kernel)
-        acc = r if acc is None else np.maximum(acc, r, out=acc)
-    assert acc is not None
+        np.maximum(acc, _corr_valid(np.abs(d, out=d), kernel), out=acc)
     uu = np.arange(top, bottom + 1, dtype=np.float64)[:, None] - h // 2
     vv = np.arange(left, right + 1, dtype=np.float64)[None, :] - w // 2
     dist = np.sqrt(uu * uu + vv * vv)

@@ -21,7 +21,7 @@ import numpy as np
 from ._threads import map_pairs
 from ._version import TOOL_VERSION
 from .core import DegenerateInputError, ShapeError, SpectralCube
-from .freqsel import _check_positive, _corr_valid, _gauss_kernel
+from .freqsel import _check_positive, _corr_valid, _equal_bands, _gauss_kernel
 
 __all__ = [
     "psnr",
@@ -73,7 +73,10 @@ def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
     Local statistics use an 11x11 Gaussian window (sigma 1.5, normalized to
     sum 1) on the valid region only — no padding — with the standard
     stabilizers C1 = (K1*L)^2, C2 = (K2*L)^2 at L = 1, K1 = 0.01, K2 = 0.03.
-    Identical inputs score exactly 1.0.
+    Identical inputs score exactly 1.0. A band whose two samples hold equal
+    finite values (zeros of either sign) is set to 1.0 without filtering:
+    each numerator factor then equals its denominator twin, so every
+    quotient is 1.0. Bands holding NaN or an infinity are filtered.
     """
     af, bf = _paired(a, b)
     radius = (_SSIM_WINDOW - 1) // 2
@@ -87,6 +90,9 @@ def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
     kernel = _gauss_kernel(_SSIM_SIGMA, radius)
     per_band = np.empty(af.shape[0], dtype=np.float64)
     for k in range(af.shape[0]):
+        if _equal_bands(af[k], bf[k]):
+            per_band[k] = 1.0
+            continue
         x = af[k].astype(np.float64, copy=False)
         y = bf[k].astype(np.float64, copy=False)
         mx = _corr_valid(x, kernel)

@@ -3,7 +3,8 @@
 Each restates a library rule without importing the code under test: either
 an earlier form of a kernel, so that the faster form can be checked against
 it byte for byte, or a direct definition (a score one window or pixel at a
-time, the DFT one bin at a time), checked to a stated tolerance.
+time, the DFT one bin at a time), checked to a stated tolerance. It also
+builds the band relations that the equal-band properties draw.
 """
 
 import math
@@ -126,3 +127,36 @@ def ssim_oracle(a, b):
                 vals.append(num / den)
         band_means.append(np.mean(vals))
     return float(np.mean(band_means))
+
+
+#: How a second cube's bands relate to the first's, for the properties that
+#: pin skipping band pairs with equal finite values (NaN and infinite bands
+#: are never skipped).
+BAND_MODES = ("none", "one_equal", "signed_zeros", "nan_band", "inf_band", "all_equal")
+
+
+def with_band_mode(a, b, mode, seed):
+    """Copies of two (bands, h, w) arrays with band ``seed % bands`` (or every
+    band) related as ``mode`` says."""
+    a, b = a.copy(), b.copy()
+    k = seed % a.shape[0]
+    if mode == "one_equal":
+        b[k] = a[k]
+    elif mode == "signed_zeros":  # equal values, every zero's sign flipped
+        rng = np.random.default_rng(seed)
+        a[k][rng.uniform(size=a[k].shape) < 0.5] = 0.0
+        a[k][rng.uniform(size=a[k].shape) < 0.25] = -0.0
+        b[k] = np.where(a[k] == 0, -a[k], a[k])
+    elif mode in ("nan_band", "inf_band"):  # in both cubes
+        a[k].flat[seed % a[k].size] = np.nan if mode == "nan_band" else np.inf
+        b[k] = a[k]
+    elif mode == "all_equal":
+        b[...] = a
+    return a, b
+
+
+def same_bytes_and_nans(got, want):
+    """NaN where ``want`` is NaN, and ``want``'s bytes everywhere else."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (np.isnan(got) == nan).all() and got[~nan].tobytes() == want[~nan].tobytes()

@@ -328,6 +328,21 @@ def test_patchify_writes_window_files(tmp_path, capsys):
     assert piece.data.tobytes() == cube.data[:, 8:, 8:].tobytes()
 
 
+def test_patchify_keeps_source_wavelengths(tmp_path, capsys):
+    wl = (450.0, 500.0, 550.0, 600.0)
+    cube = SpectralCube(np.zeros((4, 16, 16), dtype=np.float32))
+    write_cube(cube, tmp_path / "img", wavelengths_nm=wl)
+    out = tmp_path / "patches"
+    code, _, _ = run(
+        capsys, "patchify", tmp_path / "img.bsq", "--patch", "8", "8",
+        "--pattern", "2x2", "-o", out,
+    )
+    assert code == 0
+    stems = sorted(out.glob("*.bsq"))
+    assert len(stems) == 4
+    assert all(read_sidecar(p).wavelengths_nm == wl for p in stems)
+
+
 def test_patchify_stride_follows_the_pairs_rule(tmp_path, capsys):
     cube = SpectralCube(np.zeros((4, 16, 16), dtype=np.float32))
     write_cube(cube, tmp_path / "img")

@@ -282,6 +282,21 @@ def test_pairs_augment_and_patch_counts(tmp_path):
 
 
 @pytest.mark.parametrize("patch", [None, (8, 8)])
+def test_pairs_keep_source_wavelengths(tmp_path, patch):
+    rng = np.random.default_rng(87)
+    wl = (450.0, 500.0, 550.0, 600.0)
+    src = write_cube(_rand_cube(rng, 4, 16, 16), tmp_path / "in" / "img", wavelengths_nm=wl)
+    out = tmp_path / "ds"
+    records = make_pseudo_pairs([src], SfaPattern.row_major(2), out, patch=patch, augment=True)
+    assert len(records) == (32 if patch else 8)
+    for rec in records:
+        assert read_sidecar(out / rec.cube).wavelengths_nm == wl
+        # A mosaic has one band, so no list.
+        assert json.loads((out / rec.mosaic).with_suffix(".json").read_text()).get(
+            "wavelengths_nm") is None
+
+
+@pytest.mark.parametrize("patch", [None, (8, 8)])
 def test_pairs_hold_one_variant_at_a_time(tmp_path, monkeypatch, patch):
     # Before each variant is made, every earlier one is already freed: it
     # was cut and written, then dropped.

@@ -46,9 +46,19 @@ def wb_oracle(mosaic_img, pattern):
 
 
 def test_constant_mosaic_gives_constant_bands():
-    m = MosaicImage(np.full((9, 9), 0.7, dtype=np.float32))
-    cube = wb_bilinear(m, SfaPattern.row_major(3))
-    assert np.all(cube.data == np.float32(0.7))
+    """Every lerp between equal sites gives the site value, so a flat label
+    reconstructs to equal bands, and the map and SSIM skip them. Checked on
+    every period, with sides past a whole number of periods, for a signed
+    zero, a subnormal and the largest float32."""
+    tiny = np.finfo(np.float32).smallest_subnormal
+    for value in (-0.0, tiny, 0.7, 1.0, np.finfo(np.float32).max):
+        for period in range(1, 6):
+            h, w = 2 * period + 1, 3 * period + 2
+            m = MosaicImage(np.full((h, w), value, dtype=np.float32))
+            cube = wb_bilinear(m, SfaPattern.row_major(period))
+            want = np.full((h, w), value, dtype=np.float32)
+            for k, band in enumerate(cube.data):
+                assert np.array_equal(band, want), (value, period, k)
 
 
 def test_affine_field_reproduced_on_interior():

@@ -21,7 +21,14 @@ from specmosaic import (
 )
 from specmosaic.freqsel import _corr_valid
 
-from oracles import dft_oracle_centered, gauss_taps, two_axis_taps
+from oracles import (
+    BAND_MODES,
+    dft_oracle_centered,
+    gauss_taps,
+    same_bytes_and_nans,
+    two_axis_taps,
+    with_band_mode,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -395,31 +402,43 @@ def _parent_recipe_map(c1, c2, params):
     epsilon=st.sampled_from([1e-8, 1e-3]),
     r_low=st.floats(0.0, 0.5),
     r_high=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
-    identical_band=st.booleans(),
+    mode=st.sampled_from(BAND_MODES),
 )
 @example(bands=2, h=16, w=17, seed=3, radius=5, sigma=1.5, epsilon=1e-8, r_low=0.08,
-         r_high=0.5, identical_band=True)
+         r_high=0.5, mode="one_equal")
 @example(bands=1, h=1, w=1, seed=0, radius=1, sigma=1.5, epsilon=1e-8, r_low=0.08,
-         r_high=0.5, identical_band=False)
+         r_high=0.5, mode="none")
 # The whole map is the box, and the blur's gather clamps on every edge.
 @example(bands=2, h=3, w=11, seed=5, radius=6, sigma=2.0, epsilon=1e-8, r_low=0.0,
-         r_high=1.0, identical_band=False)
+         r_high=1.0, mode="none")
 @example(bands=3, h=23, w=37, seed=6, radius=4, sigma=0.7, epsilon=1e-3, r_low=0.2,
-         r_high=0.75, identical_band=False)  # odd, unequal sides
+         r_high=0.75, mode="none")  # odd, unequal sides
+@example(bands=3, h=20, w=21, seed=7, radius=5, sigma=1.5, epsilon=1e-8, r_low=0.08,
+         r_high=0.5, mode="signed_zeros")
+@example(bands=2, h=16, w=16, seed=8, radius=5, sigma=1.5, epsilon=1e-8, r_low=0.08,
+         r_high=1.0, mode="nan_band")
+@example(bands=2, h=16, w=16, seed=9, radius=5, sigma=1.5, epsilon=1e-8, r_low=0.08,
+         r_high=1.0, mode="inf_band")
+@example(bands=3, h=16, w=16, seed=10, radius=5, sigma=1.5, epsilon=1e-8, r_low=0.08,
+         r_high=0.5, mode="all_equal")
 def test_map_equals_parent_per_band_recipe_bytewise(
-    bands, h, w, seed, radius, sigma, epsilon, r_low, r_high, identical_band
+    bands, h, w, seed, radius, sigma, epsilon, r_low, r_high, mode
 ):
+    """Every sample the parent recipe gives, bit for bit; the map holds NaN
+    exactly where the recipe does."""
     assume(r_low < r_high)
     a, b = _cube_pair(bands, h, w, seed)
-    if identical_band:  # one band with an exactly zero difference
-        data = b.data.copy()
-        data[0] = a.data[0]
-        b = SpectralCube(data)
+    a, b = map(SpectralCube, with_band_mode(a.data, b.data, mode, seed))
     params = FreqParams(
         epsilon=epsilon, blur_sigma=sigma, blur_radius=radius, r_low=r_low, r_high=r_high
     )
-    got = frequency_variation_map(a, b, params).values
-    assert got.tobytes() == _parent_recipe_map(a, b, params).tobytes()
+    with np.errstate(invalid="ignore"):  # inf - inf in a spectrum
+        got = frequency_variation_map(a, b, params).values
+        want = _parent_recipe_map(a, b, params)
+    assert same_bytes_and_nans(got, want)
+    # A non-finite sample reaches every bin through both FFT passes.
+    keep = _annulus_mask(h, w, r_low, r_high)
+    assert np.isnan(want[keep]).all() if mode.endswith("_band") else not np.isnan(want).any()
 
 
 @settings(max_examples=100, deadline=None)

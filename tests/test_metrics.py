@@ -18,7 +18,16 @@ from specmosaic import (
     ssim,
 )
 
-from oracles import gauss_taps, psnr_oracle, sam_oracle, ssim_oracle, two_axis_taps
+from oracles import (
+    BAND_MODES,
+    gauss_taps,
+    psnr_oracle,
+    sam_oracle,
+    same_bytes_and_nans,
+    ssim_oracle,
+    two_axis_taps,
+    with_band_mode,
+)
 
 def _rand_pair(rng, shape=(4, 16, 16)):
     a = rng.uniform(0, 1, shape)
@@ -230,29 +239,35 @@ def _cube_sam(a, b):
     h=st.integers(11, 24),
     w=st.integers(11, 24),
     dtype=st.sampled_from([np.float32, np.float64]),
-    kind=st.sampled_from(["distinct", "identical", "zero_pixels", "all_zero"]),
+    kind=st.sampled_from([*BAND_MODES, "zero_pixels", "all_zero"]),
     seed=st.integers(0, 2**32 - 1),
 )
 # Over 8192 valid windows, a mean over a strided view would sum in buffered
 # chunks rather than pairwise over the whole band.
-@example(bands=1, h=120, w=121, dtype=np.float64, kind="distinct", seed=0)
+@example(bands=1, h=120, w=121, dtype=np.float64, kind="none", seed=0)
+@example(bands=3, h=16, w=17, dtype=np.float32, kind="signed_zeros", seed=1)
+@example(bands=2, h=16, w=16, dtype=np.float64, kind="nan_band", seed=2)
+@example(bands=2, h=16, w=16, dtype=np.float32, kind="inf_band", seed=3)
 def test_scores_equal_cube_wide_formulas_bitwise(bands, h, w, dtype, kind, seed):
+    """Each score bit for bit, and NaN exactly where the formula is NaN."""
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(-0.2, 1.2, (2, bands, h, w)).astype(dtype)
-    if kind == "identical":
-        b = a.copy()
-    elif kind == "zero_pixels":  # some pixels fall below SAM's norm guard
+    if kind == "zero_pixels":  # some pixels fall below SAM's norm guard
         a[:, rng.uniform(size=(h, w)) < 0.5] = 0
     elif kind == "all_zero":
         a[...] = 0
+    else:
+        a, b = with_band_mode(a, b, kind, seed)
     for new, old in ((psnr, _cube_psnr), (ssim, _cube_ssim), (sam, _cube_sam)):
-        try:
-            want = old(a, b)
-        except DegenerateInputError:
-            with pytest.raises(DegenerateInputError):
-                new(a, b)
-            continue
-        assert np.float64(new(a, b)).tobytes() == np.float64(want).tobytes(), new.__name__
+        with np.errstate(invalid="ignore"):  # inf - inf and NaN moments
+            try:
+                want = old(a, b)
+            except DegenerateInputError:
+                with pytest.raises(DegenerateInputError):
+                    new(a, b)
+                continue
+            got = new(a, b)
+        assert same_bytes_and_nans(np.float64(got), np.float64(want)), new.__name__
 
 
 # ------------------------------------------------------- dataset reports

@@ -4,7 +4,10 @@
 # Builds the c5 and large-sparse `pairs -> select-hard -> metrics` trees
 # (perfbench workloads, seed 7, at 1 and 2 workers) once with the base
 # commit's code and once with the working tree's, then compares the sha256
-# digest of every file in them. Run from the repository root:
+# digest of every file in them. It also compares, for every mosaic of the
+# 1-worker trees, the digest of its `wb_bilinear` reconstruction, so the
+# reconstruction's bytes are checked directly and not only through the
+# records that reach the report. Run from the repository root:
 #
 #   scripts/check_trees.sh [BASE]
 #
@@ -19,16 +22,22 @@ trap 'rm -rf "$work"' EXIT
 git archive --prefix=base/ "$base" | tar -x -C "$work"
 
 # digests ROOT OUT: build every tree with ROOT's code under OUT and print
-# one "<workload>.w<n>/<file>": "<sha256>" line per output file.
+# one "<workload>.w<n>/<file>": "<sha256>" line per output file, plus one
+# "<workload>.w1/wb_bilinear/<mosaic>" line per mosaic.
 digests() {
     python3 - "$1" "$2" <<'PY'
-import json, sys
+import hashlib, json, sys
 from pathlib import Path
 root, work = Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()
-sys.path.insert(0, str(root / "perfbench"))
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 from checks import tree_digest
 from run import run_pipeline
 from workloads import WORKLOADS, generate
+import specmosaic
+from specmosaic.dataset import read_manifest
+from specmosaic.demosaic import wb_bilinear
+from specmosaic.fileio import read_mosaic, read_sidecar
+assert Path(specmosaic.__file__).resolve().is_relative_to(root), specmosaic.__file__
 digests = {}
 for name in ("c5", "large-sparse"):
     generate(WORKLOADS[name], 7, work / name / "src")
@@ -38,6 +47,11 @@ for name in ("c5", "large-sparse"):
                             work / "log.txt").ok, f"{name} at {n} workers failed"
         for path, sha in tree_digest(tree).items():
             digests[f"{name}.w{n}/{path}"] = sha
+    ds = work / name / "w1" / "ds"
+    for rec in read_manifest(ds / "manifest.jsonl"):
+        cube = wb_bilinear(read_mosaic(ds / rec.mosaic), read_sidecar(ds / rec.mosaic).pattern)
+        sha = hashlib.sha256(cube.data.tobytes()).hexdigest()
+        digests[f"{name}.w1/wb_bilinear/{rec.mosaic}"] = sha
 print(json.dumps(digests, indent=0, sort_keys=True))
 PY
 }

@@ -38,11 +38,11 @@ from .dataset import (
 from .demosaic import wb_bilinear
 from .fileio import (
     _atomic_write_bytes,
+    _read_cube_and_sidecar,
     cube_stem,
     load_pattern_spec,
     read_cube,
     read_mosaic,
-    read_sidecar,
     write_cube,
     write_fvmap,
     write_mosaic,
@@ -190,14 +190,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_patchify(args: argparse.Namespace) -> int:
     stride = _patch_stride(*args.patch, args.stride)
     pattern = load_pattern_spec(args.pattern)
-    cube = read_cube(args.cube)
+    cube, side = _read_cube_and_sidecar(args.cube)
     pieces = patchify(cube, *args.patch, stride, pattern.period)
     out = Path(args.output)
     stem = cube_stem(args.cube).name
-    wavelengths = read_sidecar(args.cube).wavelengths_nm
     for origin, piece in pieces:
         write_cube(piece, out / _patch_stem(stem, origin), pattern=pattern,
-                   wavelengths_nm=wavelengths)
+                   wavelengths_nm=side.wavelengths_nm)
     print(f"{len(pieces)} patches -> {out}")
     return 0
 

@@ -56,12 +56,11 @@ from .core import (
 from .demosaic import wb_bilinear
 from .fileio import (
     cube_stem,
-    read_cube,
     read_mosaic,
-    read_sidecar,
     write_cube,
     write_mosaic,
     _atomic_write_bytes,
+    _read_cube_and_sidecar,
 )
 from .freqsel import FreqParams, SelectionParams, select_hard
 from .sfa import remosaic
@@ -276,19 +275,18 @@ def make_pseudo_pairs(
 
     def job(item: tuple[str, Path]) -> list[PairRecord]:
         source_id, path = item
-        cube = read_cube(path)
+        cube, side = _read_cube_and_sidecar(path)
         if cube.bands != pattern.bands:
             raise ShapeError(
                 f"cube {path} has {cube.bands} bands but pattern "
                 f"period {pattern.period} requires {pattern.bands}"
             )
         # D4 ops and crops keep band order, so every patch keeps the list.
-        wavelengths = read_sidecar(path).wavelengths_nm
         if not augment:
-            return emit(source_id, "identity", cube, wavelengths)
+            return emit(source_id, "identity", cube, side.wavelengths_nm)
         records: list[PairRecord] = []
         for op in _augment_ops(cube):
-            records += emit(source_id, op, transform_d4(cube, op), wavelengths)
+            records += emit(source_id, op, transform_d4(cube, op), side.wavelengths_nm)
         return records
 
     per_source = map_records(job, zip(ids, sources), what="source")
@@ -301,11 +299,10 @@ def record_pair(base: str | Path, rec: PairRecord) -> tuple[SpectralCube, Spectr
     """The pair a record is scored on: its label cube and the bilinear
     reconstruction of its own mosaic, with paths relative to ``base``; the
     pattern comes from the cube's sidecar."""
-    cube = read_cube(Path(base) / rec.cube)
-    pattern = read_sidecar(Path(base) / rec.cube).pattern
-    if pattern is None:
+    cube, side = _read_cube_and_sidecar(Path(base) / rec.cube)
+    if side.pattern is None:
         raise FormatError(f"cube sidecar for {rec.cube} carries no pattern")
-    return cube, wb_bilinear(read_mosaic(Path(base) / rec.mosaic), pattern)
+    return cube, wb_bilinear(read_mosaic(Path(base) / rec.mosaic), side.pattern)
 
 
 def filter_hard(

@@ -7,6 +7,13 @@ interpolated from the four surrounding lattice sites. Beyond the outermost
 lattice row/column the nearest lattice sample is replicated, which keeps the
 whole output a convex combination of mosaic values.
 
+Each axis is interpolated one lattice phase at a time. The lattice rows,
+padded with their first and last, are differenced once, and the rows at
+``phase`` past a lattice row get ``lo + phase / period * (hi - lo)`` in one
+strided slice: the clamped per-pixel formula, on the same float64 operands
+in the same order, so finite mosaics give its bytes. NaN or infinite
+samples give NaN in the same places, of either sign.
+
 This is the classical "weighted bilinear" baseline: crude around edges (it
 ignores inter-channel correlation entirely) but exactly invertible under
 re-sampling, which makes it the anchor for round-trip tests and the default
@@ -22,51 +29,45 @@ from .core import DegenerateInputError, MosaicImage, SfaPattern, SpectralCube
 __all__ = ["wb_bilinear"]
 
 
-def _axis_coords(n_out: int, offset: int, period: int, n_sites: int):
-    """Per-output-pixel interpolation coordinates along one axis.
-
-    Returns (ia, ib, t): lower/upper lattice indices clamped into the grid
-    and the fractional position t in [0, 1). Clamping both indices to the
-    same site outside the lattice hull implements replicate padding while
-    keeping the single lerp formula ``g[ia] + t*(g[ib] - g[ia])`` valid
-    everywhere (the bracket is exactly zero when ia == ib).
-    """
-    q, r = np.divmod(np.arange(n_out) - offset, period)
-    ia = np.clip(q, 0, n_sites - 1)
-    ib = np.clip(q + 1, 0, n_sites - 1)
-    t = r.astype(np.float64) / period
-    return ia, ib, t
+def _lerp_rows(g: np.ndarray, offset: int, period: int, out: np.ndarray) -> None:
+    """Interpolate lattice rows ``g``, at rows ``offset + k * period`` of
+    ``out``, onto every row of ``out`` by phase (see the module docstring)."""
+    ext = np.concatenate((g[:1], g, g[-1:]), dtype=np.float64)
+    diff = ext[1:] - ext[:-1]
+    for phase in range(period):
+        r0 = (offset + phase) % period
+        q = 1 - (offset + phase) // period  # padded index of row r0's lower site
+        n = len(range(r0, len(out), period))
+        np.add(ext[q : q + n], np.multiply(phase / period, diff[q : q + n]),
+               out=out[r0::period])
 
 
 def wb_bilinear(mosaic_img: MosaicImage, pattern: SfaPattern) -> SpectralCube:
     """Demosaic by per-band bilinear interpolation over each band's lattice.
 
-    Weights are computed in double precision and the result is rounded to
-    cube precision. Lattice sites are copied from the mosaic, so they keep
-    their samples bit-exactly (``-0.0`` included) and
+    Weights are float64, applied one lattice phase at a time, and the result
+    is rounded to float32 once: finite mosaics give the per-pixel formula's
+    bytes, and a NaN's sign is unspecified. Lattice sites are copied from the
+    mosaic, so they keep their samples bit-exactly (``-0.0`` included) and
     ``remosaic(wb_bilinear(m), pattern) == m`` byte for byte.
     """
-    h, w = mosaic_img.height, mosaic_img.width
-    p = pattern.period
-    m = mosaic_img.data
+    m, p = mosaic_img.data, pattern.period
+    h, w = m.shape
+    if min(h, w) < p:
+        i, j = (0, w) if w < p else (h, 0)  # the first empty lattice, row-major
+        raise DegenerateInputError(
+            f"band {int(pattern.band_at[i, j])} has no lattice sites inside a "
+            f"{h}x{w} mosaic (offsets ({i}, {j}), period {p})"
+        )
     out = np.empty((pattern.bands, h, w), dtype=np.float32)
-    # Bands on one row (column) offset share their row (column) coordinates.
-    col_coords = [_axis_coords(w, j, p, len(range(j, w, p))) for j in range(p)]
-    for i in range(p):
-        ia, ib, tu = _axis_coords(h, i, p, len(range(i, h, p)))
-        for j, (ja, jb, tv) in enumerate(col_coords):
+    for j in range(p):
+        # Interpolate along columns at every mosaic row, once for all bands on
+        # this column offset, then along rows; that pass rounds to float32.
+        cols = np.empty((h, w))
+        _lerp_rows(m[:, j::p].T, j, p, cols.T)
+        for i in range(p):
             band = int(pattern.band_at[i, j])
-            grid = m[i::p, j::p].astype(np.float64)
-            if grid.size == 0:
-                raise DegenerateInputError(
-                    f"band {band} has no lattice sites inside a {h}x{w} mosaic "
-                    f"(offsets ({i}, {j}), period {p})"
-                )
-            # Interpolate along columns at every lattice row, then along rows.
-            left = grid[:, ja]
-            rows = left + tv[None, :] * (grid[:, jb] - left)
-            low = rows[ia, :]
-            out[band] = (low + tu[:, None] * (rows[ib, :] - low)).astype(np.float32)
+            _lerp_rows(cols[i::p], i, p, out[band])
             # The lerp turns a -0.0 sample into +0.0; copy the sites as stored.
             out[band, i::p, j::p] = m[i::p, j::p]
     return SpectralCube(out)

@@ -196,10 +196,15 @@ def read_cube(path: str | Path) -> SpectralCube:
 
     Non-finite samples in the payload are rejected — files are the trust
     boundary, and every downstream kernel assumes finite data. The check is
-    one float64 sum of the samples, which cannot overflow, so it is finite
-    exactly when every sample is; only a failing read runs
-    :func:`~specmosaic.core.validate_cube` to name the samples.
+    the samples' minimum and maximum, which NaN propagates through and an
+    infinity reaches, so both are finite exactly when every sample is; only a
+    failing read runs :func:`~specmosaic.core.validate_cube` to name them.
     """
+    return _read_cube_and_sidecar(path)[0]
+
+
+def _read_cube_and_sidecar(path: str | Path) -> tuple[SpectralCube, CubeSidecar]:
+    """:func:`read_cube`, also returning the sidecar it parsed."""
     stem = cube_stem(path)
     side = read_sidecar(stem)
     payload_path = stem.with_suffix(PAYLOAD_SUFFIX)
@@ -213,12 +218,10 @@ def read_cube(path: str | Path) -> SpectralCube:
         )
     arr = np.frombuffer(raw, dtype="<f4").reshape(side.bands, side.height, side.width)
     cube = SpectralCube(np.ascontiguousarray(arr, dtype=np.float32))
-    with np.errstate(invalid="ignore"):  # +Inf plus -Inf gives NaN quietly
-        total = np.add.reduce(cube.data, axis=None, dtype=np.float64)
-    if not np.isfinite(total):
+    if not (np.isfinite(cube.data.min()) and np.isfinite(cube.data.max())):
         fatal = [v for v in validate_cube(cube) if v.fatal]
         raise ValidationError(f"{payload_path}: {fatal[0]}")
-    return cube
+    return cube, side
 
 
 def write_mosaic(

@@ -30,6 +30,49 @@ def lattice_offsets(pattern, band):
     return int(i), int(j)
 
 
+def _axis_coords(n_out, offset, period, n_sites):
+    """Per-output-pixel interpolation coordinates along one axis.
+
+    Returns (ia, ib, t): lower/upper lattice indices clamped into the grid
+    and the fractional position t in [0, 1). Clamping both indices to the
+    same site outside the lattice hull implements replicate padding while
+    keeping the single lerp formula ``g[ia] + t*(g[ib] - g[ia])`` valid
+    everywhere (the bracket is exactly zero when ia == ib).
+    """
+    q, r = np.divmod(np.arange(n_out) - offset, period)
+    ia = np.clip(q, 0, n_sites - 1)
+    ib = np.clip(q + 1, 0, n_sites - 1)
+    t = r.astype(np.float64) / period
+    return ia, ib, t
+
+
+def wb_gather_recipe(mosaic_img, pattern):
+    """The (bands, h, w) float32 bilinear reconstruction as index gathers:
+    every output row and column gathers its two clamped lattice neighbours
+    and takes ``lo + t * (hi - lo)`` in float64, then rounds to float32."""
+    h, w = mosaic_img.height, mosaic_img.width
+    p = pattern.period
+    m = mosaic_img.data
+    out = np.empty((pattern.bands, h, w), dtype=np.float32)
+    # Bands on one row (column) offset share their row (column) coordinates.
+    col_coords = [_axis_coords(w, j, p, len(range(j, w, p))) for j in range(p)]
+    for i in range(p):
+        ia, ib, tu = _axis_coords(h, i, p, len(range(i, h, p)))
+        for j, (ja, jb, tv) in enumerate(col_coords):
+            band = int(pattern.band_at[i, j])
+            grid = m[i::p, j::p].astype(np.float64)
+            if grid.size == 0:
+                raise ValueError(f"band {band} has no lattice sites")
+            # Interpolate along columns at every lattice row, then along rows.
+            left = grid[:, ja]
+            rows = left + tv[None, :] * (grid[:, jb] - left)
+            low = rows[ia, :]
+            out[band] = (low + tu[:, None] * (rows[ib, :] - low)).astype(np.float32)
+            # The lerp turns a -0.0 sample into +0.0; copy the sites as stored.
+            out[band, i::p, j::p] = m[i::p, j::p]
+    return out
+
+
 def gauss_taps(sigma, radius):
     """The sampled Gaussian on [-radius, radius], normalized to sum 1."""
     k = np.exp(-0.5 * (np.arange(-radius, radius + 1, dtype=np.float64) / sigma) ** 2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmosaic import (
     DegenerateInputError,
@@ -11,7 +13,7 @@ from specmosaic import (
     wb_bilinear,
 )
 
-from oracles import lattice_offsets
+from oracles import lattice_offsets, same_bytes_and_nans, wb_gather_recipe
 
 
 def wb_oracle(mosaic_img, pattern):
@@ -137,3 +139,58 @@ def test_demosaic_then_mosaic_of_wb_is_idempotent_anchor():
     first = wb_bilinear(m, pattern)
     second = wb_bilinear(mosaic(first, pattern), pattern)
     assert first.data.tobytes() == second.data.tobytes()
+
+
+_F32 = np.finfo(np.float32)
+_SPECIALS = np.array(
+    [-0.0, 0.0, _F32.smallest_subnormal, -_F32.smallest_subnormal, _F32.max, -_F32.max],
+    dtype=np.float32,
+)
+
+
+def _mosaic_case(period, h, w, seed, nonfinite):
+    """A bijective ``band_at`` and an h x w float32 mosaic of random bit
+    patterns (subnormals included), with a third of the samples in [0, 1)
+    and a tenth from ``_SPECIALS``; ``nonfinite`` mixes in NaN and +-inf."""
+    rng = np.random.default_rng(seed)
+    band_at = rng.permutation(period * period).reshape(period, period)
+    bits = rng.integers(0, 2**32, (h, w), dtype=np.uint32)
+    bits[(bits & 0x7F800000) == 0x7F800000] &= ~np.uint32(0x00800000)  # finite
+    data = bits.view(np.float32)
+    unit = rng.uniform(size=(h, w)) < 1 / 3
+    data[unit] = rng.uniform(0, 1, unit.sum()).astype(np.float32)
+    special = rng.uniform(size=(h, w)) < 0.1
+    data[special] = rng.choice(_SPECIALS, special.sum())
+    if nonfinite:
+        bad = rng.uniform(size=(h, w)) < 0.05
+        bad.flat[seed % bad.size] = True
+        data[bad] = rng.choice(np.array([np.nan, np.inf, -np.inf], np.float32), bad.sum())
+    return band_at, data
+
+
+@st.composite
+def _mosaic_cases(draw):
+    period = draw(st.integers(1, 8))
+    side = st.integers(period, 4 * period + 19)
+    return _mosaic_case(period, draw(side), draw(side), draw(st.integers(0, 2**32 - 1)),
+                        draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mosaic_cases())
+@example(case=(np.zeros((1, 1), dtype=int), np.full((1, 1), -0.0, dtype=np.float32)))
+@example(case=_mosaic_case(4, 4, 4, seed=1, nonfinite=False))  # one site per band
+@example(case=_mosaic_case(4, 17, 23, seed=2, nonfinite=False))
+@example(case=_mosaic_case(4, 17, 23, seed=3, nonfinite=True))
+def test_wb_bilinear_equals_gather_recipe_bytewise(case):
+    """The phase form gives the per-pixel gather recipe's bytes on finite
+    mosaics, and NaN in the same places (of either sign) on the others."""
+    band_at, data = case
+    m, pattern = MosaicImage(data), SfaPattern(band_at)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = wb_bilinear(m, pattern).data
+        want = wb_gather_recipe(m, pattern)
+    if np.isfinite(data).all():
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert same_bytes_and_nans(got, want)

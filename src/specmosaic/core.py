@@ -232,8 +232,10 @@ class SfaPattern:
         """Parse :meth:`to_dict`'s output; ``what`` names the input in errors."""
         with _as_format_error(what):
             period = _json_int(d["period"])
+            if period < 1:
+                raise FormatError(f"{what}: period must be >= 1, got {period}")
             flat = [_json_int(b) for b in d["band_at"]]
-            if period < 1 or len(flat) != period * period:
+            if len(flat) != period * period:
                 raise FormatError(
                     f"{what}: band_at must list period**2 = {period * period} entries"
                 )

@@ -282,12 +282,9 @@ def make_pseudo_pairs(
                 f"period {pattern.period} requires {pattern.bands}"
             )
         # D4 ops and crops keep band order, so every patch keeps the list.
-        if not augment:
-            return emit(source_id, "identity", cube, side.wavelengths_nm)
-        records: list[PairRecord] = []
-        for op in _augment_ops(cube):
-            records += emit(source_id, op, transform_d4(cube, op), side.wavelengths_nm)
-        return records
+        ops = _augment_ops(cube) if augment else ("identity",)
+        return [rec for op in ops
+                for rec in emit(source_id, op, transform_d4(cube, op), side.wavelengths_nm)]
 
     per_source = map_records(job, zip(ids, sources), what="source")
     records = [r for chunk in per_source for r in chunk]

@@ -260,7 +260,6 @@ def frequency_variation_map(
     reach, radius = math.floor(r_out), params.blur_radius
     top, bottom, rows = _box_source(h, reach, radius)
     left, right, cols = _box_source(w, reach, radius)
-    fft_cols, col_at = np.unique(cols, return_inverse=True)
     kernel = _gauss_kernel(params.blur_sigma, radius)
     # The row FFTs run in place in this one buffer (out= needs NumPy 2):
     # a fresh complex map per transform costs more than copying the band in.
@@ -268,12 +267,12 @@ def frequency_variation_map(
 
     def log_box(cube: SpectralCube, k: int) -> np.ndarray:
         spec[...] = cube.band(k)
-        # fft2 runs axis -1, then axis -2, one vector at a time, so the
-        # column FFT of a subset of columns gives those columns of fft2.
+        # fft2 runs axis -1, then axis -2, one vector at a time, so a column
+        # FFT of gathered columns, repeats too, gives those columns of fft2.
         np.fft.fft(spec, axis=1, out=spec)
-        part = spec[:, fft_cols]
+        part = spec[:, cols]
         np.fft.fft(part, axis=0, out=part)
-        return log_magnitude(part[rows[:, None], col_at], params.epsilon)
+        return log_magnitude(part[rows], params.epsilon)
 
     acc = np.zeros((bottom - top + 1, right - left + 1))
     for k in range(c1.bands):

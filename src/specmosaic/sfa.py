@@ -34,10 +34,8 @@ def mosaic(cube: SpectralCube, pattern: SfaPattern) -> MosaicImage:
     (sensor crops exist).
     """
     _check_bands(cube, pattern)
-    idx = pattern.index_map(cube.height, cube.width)
-    rows = np.arange(cube.height)[:, None]
-    cols = np.arange(cube.width)[None, :]
-    return MosaicImage(cube.data[idx, rows, cols])
+    idx = pattern.index_map(cube.height, cube.width)[None]
+    return MosaicImage(np.take_along_axis(cube.data, idx, axis=0)[0])
 
 
 def remosaic(pseudo_cube: SpectralCube, pattern: SfaPattern) -> MosaicImage:
@@ -51,9 +49,6 @@ def sparse_expand(mosaic_img: MosaicImage, pattern: SfaPattern) -> SpectralCube:
     """Scatter a mosaic into a cube: band k holds the mosaic values on k's
     lattice sites and zero elsewhere. ``mosaic(sparse_expand(m)) == m``."""
     h, w = mosaic_img.height, mosaic_img.width
-    idx = pattern.index_map(h, w)
     data = np.zeros((pattern.bands, h, w), dtype=mosaic_img.data.dtype)
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
-    data[idx, rows, cols] = mosaic_img.data
+    np.put_along_axis(data, pattern.index_map(h, w)[None], mosaic_img.data[None], axis=0)
     return SpectralCube(data)

@@ -30,6 +30,30 @@ def lattice_offsets(pattern, band):
     return int(i), int(j)
 
 
+def mosaic_bits_oracle(data, band_at):
+    """The float32 bits of the mosaic of ``data`` (bands, h, w), one pixel at
+    a time: pixel (u, v) is ``data[band_at[u % p, v % p], u, v]``."""
+    bits = np.asarray(data, dtype=np.float32).view(np.uint32)
+    p = len(band_at)
+    out = np.empty(bits.shape[1:], dtype=np.uint32)
+    for u in range(out.shape[0]):
+        for v in range(out.shape[1]):
+            out[u, v] = bits[band_at[u % p][v % p], u, v]
+    return out
+
+
+def sparse_expand_bits_oracle(mosaic_data, band_at):
+    """The float32 bits of the sparse cube of a (h, w) mosaic, one pixel at a
+    time: each sample in band ``band_at[u % p, v % p]``, +0.0 elsewhere."""
+    bits = np.asarray(mosaic_data, dtype=np.float32).view(np.uint32)
+    p = len(band_at)
+    out = np.zeros((p * p, *bits.shape), dtype=np.uint32)
+    for u in range(bits.shape[0]):
+        for v in range(bits.shape[1]):
+            out[band_at[u % p][v % p], u, v] = bits[u, v]
+    return out
+
+
 def _axis_coords(n_out, offset, period, n_sites):
     """Per-output-pixel interpolation coordinates along one axis.
 

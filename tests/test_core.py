@@ -5,6 +5,7 @@ from specmosaic import (
     AlignmentError,
     BoundsError,
     D4_OPS,
+    FormatError,
     PatchOrigin,
     SfaPattern,
     ShapeError,
@@ -101,6 +102,16 @@ class TestSfaPattern:
         with pytest.raises(ShapeError):
             SfaPattern(np.arange(6).reshape(2, 3))
 
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ShapeError, match=r"^pattern period must be >= 1$"):
+            SfaPattern(np.zeros((0, 0), dtype=np.int64))
+
+    @pytest.mark.parametrize("period, band_at", [(-1, [0]), (0, [])])
+    def test_from_dict_names_the_period_rule(self, period, band_at):
+        # The entry count matches period**2 here, so only the period is wrong.
+        with pytest.raises(FormatError, match=rf"^p\.json: period must be >= 1, got {period}$"):
+            SfaPattern.from_dict({"period": period, "band_at": band_at}, what="p.json")
+
     def test_dict_roundtrip(self):
         p = SfaPattern(np.array([[3, 1], [0, 2]]))
         q = SfaPattern.from_dict(p.to_dict())
@@ -118,6 +129,11 @@ class TestCropAligned:
         c = SpectralCube(np.zeros((1, 8, 8), dtype=np.float32))
         with pytest.raises(AlignmentError):
             crop_aligned(c, PatchOrigin(3, 0, 4, 4), period=4)
+
+    def test_rejects_period_zero(self):
+        c = SpectralCube(np.zeros((1, 4, 4), dtype=np.float32))
+        with pytest.raises(AlignmentError, match=r"^period must be >= 1$"):
+            crop_aligned(c, PatchOrigin(0, 0, 2, 2), period=0)
 
     def test_out_of_bounds(self):
         c = SpectralCube(np.zeros((1, 8, 8), dtype=np.float32))
@@ -205,3 +221,16 @@ class TestTransformD4:
         c = SpectralCube(np.zeros((1, 2, 2), dtype=np.float32))
         with pytest.raises(ValueError):
             transform_d4(c, "rot45")
+
+
+class TestPatchOrigin:
+    @pytest.mark.parametrize("row, col", [(-1, 0), (0, -4)])
+    def test_rejects_negative_origin(self, row, col):
+        with pytest.raises(BoundsError, match=rf"^origin \({row}, {col}\) must be non-negative$"):
+            PatchOrigin(row, col, 2, 2)
+
+    @pytest.mark.parametrize("size_h, size_w", [(0, 2), (2, 0)])
+    def test_rejects_zero_size(self, size_h, size_w):
+        rule = rf"^patch size {size_h}x{size_w} must be at least 1x1$"
+        with pytest.raises(BoundsError, match=rule):
+            PatchOrigin(0, 0, size_h, size_w)

@@ -1,4 +1,5 @@
 import json
+import warnings
 import weakref
 from dataclasses import asdict
 
@@ -319,6 +320,23 @@ def test_pairs_hold_one_variant_at_a_time(tmp_path, monkeypatch, patch):
     )
     assert len(records) == 8 * (1 if patch is None else 4)
     assert alive_before == [0] * 8
+
+
+@pytest.mark.parametrize("patch, origins", [
+    (None, [(0, 0)]),
+    ((4, 4), [(0, 0), (0, 4), (0, 8), (4, 0), (4, 4), (4, 8)]),
+])
+def test_pairs_nonsquare_source_without_augment(tmp_path, monkeypatch, patch, origins):
+    # One identity record per patch, and no non-square warning: without
+    # augment no symmetry is asked for, so none is dropped.
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "1")
+    rng = np.random.default_rng(88)
+    src = write_cube(_rand_cube(rng, 4, 8, 12), tmp_path / "in" / "wide")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = make_pseudo_pairs([src], SfaPattern.row_major(2), tmp_path / "ds", patch=patch)
+    assert [r.aug for r in records] == ["identity"] * len(origins)
+    assert [r.origin for r in records] == origins
 
 
 def test_pairs_nonsquare_patch_needs_stride(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import struct
 import sys
@@ -75,6 +76,22 @@ def test_sidecar_fields_and_metadata_round_trip(tmp_path):
     assert side.wavelengths_nm == wl
     assert side.pattern is not None
     assert np.array_equal(side.pattern.band_at, pattern.band_at)
+
+
+@pytest.mark.parametrize(
+    "pattern, rule",
+    [
+        ({"period": 2, "band_at": [0, 1, 2]}, "band_at must list period**2 = 4 entries"),
+        ({"period": -1, "band_at": [0]}, "period must be >= 1, got -1"),
+    ],
+    ids=["entry_count", "period"],
+)
+def test_sidecar_pattern_errors_name_the_sidecar(tmp_path, pattern, rule):
+    write_cube(SpectralCube(np.zeros((4, 2, 2), dtype=np.float32)), tmp_path / "c")
+    side = tmp_path / "c.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), "pattern": pattern}))
+    with pytest.raises(FormatError, match=f"^{re.escape(f'sidecar {side} pattern: {rule}')}$"):
+        read_sidecar(tmp_path / "c.bsq")
 
 
 def test_cube_stem_accepts_any_spelling(tmp_path):

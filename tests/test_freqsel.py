@@ -451,8 +451,8 @@ def test_map_equals_parent_per_band_recipe_bytewise(
 @example(h=64, w=1, seed=1)
 def test_row_then_column_fft_is_fft2_bytewise(h, w, seed):
     """The map runs fft2's two passes itself, the column pass on some columns
-    only. A NumPy whose fft2 is not these passes must fail here, not move
-    verdicts."""
+    only, gathered with repeats where its box clamps at the map edge. A NumPy
+    whose fft2 is not these passes must fail here, not move verdicts."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, (h, w)).astype(np.float32).astype(np.complex128)
     want = np.fft.fft2(x)
@@ -465,6 +465,12 @@ def test_row_then_column_fft_is_fft2_bytewise(h, w, seed):
     part = x[:, cols]
     np.fft.fft(part, axis=0, out=part)
     assert part.tobytes() == want[:, cols].tobytes()
+    # Unsorted, with at least one repeat: equal columns give equal bytes.
+    picks = rng.integers(0, w, rng.integers(1, 2 * w + 1))
+    picks = np.append(picks, picks[0])
+    part = x[:, picks]
+    np.fft.fft(part, axis=0, out=part)
+    assert part.tobytes() == want[:, picks].tobytes()
 
 
 def test_bandpass_support():
@@ -518,6 +524,11 @@ def test_shape_mismatch_rejected():
     b = SpectralCube(np.zeros((1, 8, 9), dtype=np.float32))
     with pytest.raises(ShapeError):
         frequency_variation_map(a, b)
+
+
+def test_gaussian_blur_rejects_non_2d():
+    with pytest.raises(ShapeError, match=r"^expected a 2D map, got shape \(2, 4, 4\)$"):
+        gaussian_blur(np.zeros((2, 4, 4)), 1.5, 1)
 
 
 def test_map_type_rejects_non_2d():

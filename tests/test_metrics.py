@@ -141,6 +141,14 @@ def test_ssim_below_one_for_distinct_inputs():
     assert ssim(a, b) < 1.0
 
 
+@pytest.mark.parametrize("score", [psnr, ssim, sam], ids=["psnr", "ssim", "sam"])
+def test_scores_reject_a_2d_array(score):
+    flat = np.zeros((16, 16))
+    with pytest.raises(ShapeError, match=r"^a must be a cube \(bands, height, width\), "
+                                         r"got shape \(16, 16\)$"):
+        score(flat, flat)
+
+
 def test_ssim_requires_window_sized_images():
     a = np.zeros((1, 10, 16))
     with pytest.raises(ShapeError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specmosaic import (
     MosaicImage,
@@ -11,7 +13,16 @@ from specmosaic import (
     sparse_expand,
 )
 
-from oracles import lattice_offsets
+from oracles import lattice_offsets, mosaic_bits_oracle, sparse_expand_bits_oracle
+
+#: float32 bit patterns mixed into the random ones: -0.0, the smallest and
+#: largest subnormals of each sign, quiet and signalling NaNs with payloads,
+#: and the infinities.
+_SPECIAL_BITS = np.array(
+    [0x80000000, 0x00000001, 0x007FFFFF, 0x80000001, 0x807FFFFF,
+     0x7FC00000, 0x7F800001, 0xFFC00123, 0x7F800000, 0xFF800000],
+    dtype=np.uint32,
+)
 
 
 def mosaic_oracle(cube, pattern):
@@ -129,3 +140,38 @@ def test_mosaic_linearity():
         SpectralCube(y.astype(np.float32)), pat
     ).data
     assert np.max(np.abs(lhs.astype(np.float64) - rhs.astype(np.float64))) < 1e-7
+
+
+def _float32_bits(rng, shape):
+    """Random float32 bit patterns, about a third of them from _SPECIAL_BITS."""
+    bits = rng.integers(0, 2**32, size=shape, dtype=np.uint32)
+    special = rng.uniform(size=shape) < 0.3
+    bits[special] = rng.choice(_SPECIAL_BITS, size=int(special.sum()))
+    return bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(1, 8),
+    h=st.integers(1, 27),
+    w=st.integers(1, 27),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=8, h=9, w=17, seed=0)
+@example(p=3, h=2, w=5, seed=1)
+@example(p=5, h=1, w=1, seed=2)
+@example(p=1, h=3, w=4, seed=3)
+def test_mosaic_and_sparse_expand_match_per_pixel_oracle_bytewise(p, h, w, seed):
+    """Sampling and scattering along the band axis is the per-pixel rule,
+    bit for bit: NaN payloads, -0.0 and subnormals are moved, never computed
+    with, and sides need not be period multiples."""
+    rng = np.random.default_rng(seed)
+    pattern = SfaPattern(rng.permutation(p * p).reshape(p, p))
+    band_at = pattern.band_at.tolist()
+    cube_bits = _float32_bits(rng, (p * p, h, w))
+    got = mosaic(SpectralCube(cube_bits.view(np.float32)), pattern)
+    assert got.data.tobytes() == mosaic_bits_oracle(cube_bits.view(np.float32), band_at).tobytes()
+    mosaic_bits = _float32_bits(rng, (h, w))
+    sparse = sparse_expand(MosaicImage(mosaic_bits.view(np.float32)), pattern)
+    want = sparse_expand_bits_oracle(mosaic_bits.view(np.float32), band_at)
+    assert sparse.data.tobytes() == want.tobytes()

@@ -12,8 +12,9 @@
 #   scripts/check_trees.sh [BASE]
 #
 # BASE is any git revision and defaults to HEAD~1; use HEAD to check
-# uncommitted work. Prints "trees identical" and exits 0, or lists the
-# differing digests and exits 1.
+# uncommitted work. Prints "trees identical (N digests)" and exits 0, or
+# lists the differing digests and exits 1. It also exits 1 if either side
+# produced no digests, so an empty comparison cannot pass.
 set -eu
 
 base=${1:-HEAD~1}
@@ -58,8 +59,15 @@ PY
 
 digests "$work/base" "$work/run-base" > "$work/base.json"
 digests . "$work/run-change" > "$work/change.json"
+# json.dumps(indent=0) puts each digest on its own line, starting with '"'.
+n_base=$(grep -c '^"' "$work/base.json" || true)
+n_change=$(grep -c '^"' "$work/change.json" || true)
+if [ "$n_base" -eq 0 ] || [ "$n_change" -eq 0 ]; then
+    echo "no digests to compare (base: $n_base, working tree: $n_change)" >&2
+    exit 1
+fi
 if cmp -s "$work/base.json" "$work/change.json"; then
-    echo "trees identical"
+    echo "trees identical ($n_change digests)"
 else
     echo "trees differ from $base (< base, > working tree):" >&2
     diff "$work/base.json" "$work/change.json" >&2 || true

@@ -38,18 +38,18 @@ from .dataset import (
 from .demosaic import wb_bilinear
 from .fileio import (
     _atomic_write_bytes,
-    _read_cube_and_sidecar,
     cube_stem,
     load_pattern_spec,
     read_cube,
     read_mosaic,
+    read_sidecar,
     write_cube,
     write_fvmap,
     write_mosaic,
 )
 from .freqsel import FreqParams, SelectionParams, count_distribution, frequency_variation_map
 from .metrics import evaluate_dataset
-from .sfa import mosaic as sfa_mosaic
+from .sfa import _check_bands, mosaic as sfa_mosaic
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -190,7 +190,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_patchify(args: argparse.Namespace) -> int:
     stride = _patch_stride(*args.patch, args.stride)
     pattern = load_pattern_spec(args.pattern)
-    cube, side = _read_cube_and_sidecar(args.cube)
+    cube, side = read_cube(args.cube), read_sidecar(args.cube)
+    _check_bands(cube, pattern, f"cube {args.cube}")
     pieces = patchify(cube, *args.patch, stride, pattern.period)
     out = Path(args.output)
     stem = cube_stem(args.cube).name

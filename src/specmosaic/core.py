@@ -19,6 +19,7 @@ Conventions that hold across the whole package:
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -108,8 +109,10 @@ def _json_str(value: object) -> str:
 
 
 def _json_float(value: object) -> float:
-    """``value`` as a float if it is a finite JSON number; a bool or string raises."""
-    if type(value) not in (int, float) or not np.isfinite(float(value)):
+    """``value`` as a float if it is a finite real number, NumPy scalars
+    included; a bool, string, NaN or infinity raises."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and np.isfinite(float(value))):
         raise TypeError(f"expected a finite number, got {value!r}")
     return float(value)
 

@@ -45,7 +45,6 @@ from .core import (
     FormatError,
     PatchOrigin,
     SfaPattern,
-    ShapeError,
     SpectralCube,
     _as_format_error,
     _json_int,
@@ -56,14 +55,15 @@ from .core import (
 from .demosaic import wb_bilinear
 from .fileio import (
     cube_stem,
+    read_cube,
     read_mosaic,
+    read_sidecar,
     write_cube,
     write_mosaic,
     _atomic_write_bytes,
-    _read_cube_and_sidecar,
 )
 from .freqsel import FreqParams, SelectionParams, select_hard
-from .sfa import remosaic
+from .sfa import _check_bands, remosaic
 
 __all__ = [
     "PairRecord",
@@ -275,12 +275,8 @@ def make_pseudo_pairs(
 
     def job(item: tuple[str, Path]) -> list[PairRecord]:
         source_id, path = item
-        cube, side = _read_cube_and_sidecar(path)
-        if cube.bands != pattern.bands:
-            raise ShapeError(
-                f"cube {path} has {cube.bands} bands but pattern "
-                f"period {pattern.period} requires {pattern.bands}"
-            )
+        cube, side = read_cube(path), read_sidecar(path)
+        _check_bands(cube, pattern, f"cube {path}")
         # D4 ops and crops keep band order, so every patch keeps the list.
         ops = _augment_ops(cube) if augment else ("identity",)
         return [rec for op in ops
@@ -296,7 +292,7 @@ def record_pair(base: str | Path, rec: PairRecord) -> tuple[SpectralCube, Spectr
     """The pair a record is scored on: its label cube and the bilinear
     reconstruction of its own mosaic, with paths relative to ``base``; the
     pattern comes from the cube's sidecar."""
-    cube, side = _read_cube_and_sidecar(Path(base) / rec.cube)
+    cube, side = read_cube(Path(base) / rec.cube), read_sidecar(Path(base) / rec.cube)
     if side.pattern is None:
         raise FormatError(f"cube sidecar for {rec.cube} carries no pattern")
     return cube, wb_bilinear(read_mosaic(Path(base) / rec.mosaic), side.pattern)

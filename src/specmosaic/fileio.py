@@ -113,11 +113,13 @@ class CubeSidecar:
                 raise ValueError(
                     f"dims must be positive, got {self.height}x{self.width}x{self.bands}"
                 )
-            if self.wavelengths_nm is not None and len(self.wavelengths_nm) != self.bands:
-                raise ValueError(
-                    f"wavelengths_nm has {len(self.wavelengths_nm)} entries "
-                    f"for {self.bands} bands"
-                )
+            if self.wavelengths_nm is not None:
+                wl = tuple(_json_float(x) for x in self.wavelengths_nm)
+                object.__setattr__(self, "wavelengths_nm", wl)
+                if len(wl) != self.bands:
+                    raise ValueError(
+                        f"wavelengths_nm has {len(wl)} entries for {self.bands} bands"
+                    )
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -144,16 +146,14 @@ class CubeSidecar:
                 pattern = SfaPattern.from_dict(pattern, what=f"{what} pattern")
             dtype = _json_str(d.get("dtype", "f32le"))
             interleave = _json_str(d.get("interleave", "bsq"))
-            wl = d.get("wavelengths_nm")
-            wl = None if wl is None else tuple(_json_float(x) for x in wl)
             dims = [_json_int(d[k]) for k in ("height", "width", "bands")]
-            # Values are checked in order: dims, dtype, interleave, wavelength count.
+            # Values are checked in order: dims, dtype, interleave, wavelengths.
             side = cls(*dims, pattern=pattern, what=what)
             if dtype != "f32le":
                 raise ValueError(f"unsupported dtype {dtype!r} (only f32le)")
             if interleave != "bsq":
                 raise ValueError(f"unsupported interleave {interleave!r} (only bsq)")
-            return replace(side, wavelengths_nm=wl, what=what)
+            return replace(side, wavelengths_nm=d.get("wavelengths_nm"), what=what)
 
 
 def write_cube(
@@ -163,7 +163,8 @@ def write_cube(
     pattern: SfaPattern | None = None,
     wavelengths_nm: tuple[float, ...] | None = None,
 ) -> Path:
-    """Write ``<stem>.bsq`` + ``<stem>.json``; returns the stem path."""
+    """Write ``<stem>.bsq`` + ``<stem>.json``; returns the stem path. Metadata
+    that :func:`read_sidecar` would reject raises before any file is touched."""
     stem = cube_stem(path)
     sidecar = CubeSidecar(
         height=cube.height,
@@ -171,6 +172,7 @@ def write_cube(
         bands=cube.bands,
         pattern=pattern,
         wavelengths_nm=wavelengths_nm,
+        what=f"sidecar {stem.with_suffix(SIDECAR_SUFFIX)}",
     )
     # A byte view, not a copy; len() of the cast view is the byte count.
     payload = memoryview(np.ascontiguousarray(cube.data, dtype="<f4")).cast("B")
@@ -192,19 +194,14 @@ def read_sidecar(path: str | Path) -> CubeSidecar:
 
 
 def read_cube(path: str | Path) -> SpectralCube:
-    """Read a cube pair; bit-identical inverse of :func:`write_cube`.
+    """Read a cube pair; bit-identical inverse of :func:`write_cube`. Every
+    cube payload, a mosaic's too, is read here.
 
-    Non-finite samples in the payload are rejected — files are the trust
-    boundary, and every downstream kernel assumes finite data. The check is
-    the samples' minimum and maximum, which NaN propagates through and an
-    infinity reaches, so both are finite exactly when every sample is; only a
-    failing read runs :func:`~specmosaic.core.validate_cube` to name them.
+    Non-finite samples are rejected: files are the trust boundary, and every
+    kernel assumes finite data. The check is the samples' minimum and maximum,
+    finite exactly when every sample is (NaN reaches both, an infinity one);
+    only a failing read runs :func:`~specmosaic.core.validate_cube` to name them.
     """
-    return _read_cube_and_sidecar(path)[0]
-
-
-def _read_cube_and_sidecar(path: str | Path) -> tuple[SpectralCube, CubeSidecar]:
-    """:func:`read_cube`, also returning the sidecar it parsed."""
     stem = cube_stem(path)
     side = read_sidecar(stem)
     payload_path = stem.with_suffix(PAYLOAD_SUFFIX)
@@ -217,11 +214,11 @@ def _read_cube_and_sidecar(path: str | Path) -> tuple[SpectralCube, CubeSidecar]
             f"expected {expected} for {side.bands}x{side.height}x{side.width}"
         )
     arr = np.frombuffer(raw, dtype="<f4").reshape(side.bands, side.height, side.width)
-    cube = SpectralCube(np.ascontiguousarray(arr, dtype=np.float32))
+    cube = SpectralCube(arr)
     if not (np.isfinite(cube.data.min()) and np.isfinite(cube.data.max())):
         fatal = [v for v in validate_cube(cube) if v.fatal]
         raise ValidationError(f"{payload_path}: {fatal[0]}")
-    return cube, side
+    return cube
 
 
 def write_mosaic(

@@ -17,10 +17,10 @@ from .core import MosaicImage, SfaPattern, ShapeError, SpectralCube
 __all__ = ["mosaic", "remosaic", "sparse_expand"]
 
 
-def _check_bands(cube: SpectralCube, pattern: SfaPattern) -> None:
+def _check_bands(cube: SpectralCube, pattern: SfaPattern, what: str = "cube") -> None:
     if cube.bands != pattern.bands:
         raise ShapeError(
-            f"cube has {cube.bands} bands but pattern period {pattern.period} "
+            f"{what} has {cube.bands} bands but pattern period {pattern.period} "
             f"requires {pattern.bands}"
         )
 

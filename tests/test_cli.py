@@ -11,7 +11,7 @@ import pytest
 from specmosaic import SfaPattern, SpectralCube, mosaic as sfa_mosaic, wb_bilinear
 from specmosaic.cli import cli_dispatch
 from specmosaic.dataset import read_manifest
-from specmosaic.fileio import read_cube, read_mosaic, read_sidecar, write_cube
+from specmosaic.fileio import cube_stem, read_cube, read_mosaic, read_sidecar, write_cube
 from specmosaic.metrics import evaluate_dataset
 
 
@@ -115,6 +115,37 @@ def test_pairs_then_select_hard(tmp_path, capsys):
     assert len(kept) == 1 and kept[0].source == "c01"
     verdicts = json.loads((tmp_path / "hard.jsonl.verdicts.json").read_text())
     assert len(verdicts["verdicts"]) == 3
+
+
+def test_every_cube_read_goes_through_read_cube(tmp_path, capsys, monkeypatch):
+    # Spy on read_cube wherever a specmosaic module binds it, as a tracer
+    # would; one worker keeps every read in this process.
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "1")
+    orig, seen = read_cube, []
+
+    def spy(path):
+        seen.append(cube_stem(path).resolve())
+        return orig(path)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "specmosaic" or name.startswith("specmosaic."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, spy)
+    src, ds, hard = tmp_path / "src", tmp_path / "ds", tmp_path / "hard" / "hard.jsonl"
+    sources = [
+        _write_const_cube(src / "c00", [0.3, 0.5, 0.6, 0.8], h=64, w=64),
+        _write_const_cube(src / "c01", [0.2, 0.4, 0.5, 0.7], h=64, w=64, sine_band=1),
+    ]
+    assert run(capsys, "pairs", src, "--pattern", "2x2", "--patch", "32", "32", "-o", ds)[0] == 0
+    assert run(capsys, "select-hard", ds / "manifest.jsonl", "-o", hard)[0] == 0
+    assert run(capsys, "metrics", hard, "-o", tmp_path / "report.json")[0] == 0
+    records, kept = read_manifest(ds / "manifest.jsonl"), read_manifest(hard)
+    assert len(records) == 8 and 0 < len(kept) < len(records)
+    want = [s.resolve() for s in sources]
+    for base, recs in ((ds, records), (hard.parent, kept)):
+        want += [cube_stem(base / p).resolve() for r in recs for p in (r.cube, r.mosaic)]
+    assert sorted(seen) == sorted(want)
 
 
 @pytest.mark.parametrize("sine_bands", [(1, 1, 1), (None, None, None), (None, 1, None)])
@@ -341,6 +372,19 @@ def test_patchify_keeps_source_wavelengths(tmp_path, capsys):
     stems = sorted(out.glob("*.bsq"))
     assert len(stems) == 4
     assert all(read_sidecar(p).wavelengths_nm == wl for p in stems)
+
+
+def test_patchify_band_check_follows_the_pairs_rule(tmp_path, capsys):
+    write_cube(SpectralCube(np.zeros((4, 10, 10), dtype=np.float32)), tmp_path / "img")
+    args = ("--patch", "5", "5", "--pattern", "5x5")
+    rule = "has 4 bands but pattern period 5 requires 25"
+    code, _, err = run(capsys, "patchify", tmp_path / "img.bsq", *args, "-o", tmp_path / "p")
+    assert code == 1
+    assert err == f"error: cube {tmp_path / 'img.bsq'} {rule}\n"
+    assert not (tmp_path / "p").exists()
+    code, _, err = run(capsys, "pairs", tmp_path, *args, "-o", tmp_path / "ds")
+    assert code == 1
+    assert err == f"error: source 0: cube {tmp_path / 'img'} {rule}\n"
 
 
 def test_patchify_stride_follows_the_pairs_rule(tmp_path, capsys):

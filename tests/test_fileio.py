@@ -513,6 +513,33 @@ def test_sidecar_fields_are_not_coerced(field, value, expected):
         CubeSidecar.from_dict({"height": 1, "width": 1, "bands": 1, field: value})
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), -np.inf, np.float32("nan"), True, np.True_, "450"],
+    ids=["nan", "inf", "-inf", "float32-nan", "true", "numpy-true", "string"],
+)
+def test_write_cube_rejects_what_read_sidecar_rejects(tmp_path, bad):
+    cube = SpectralCube(np.full((2, 2, 2), 0.5, dtype=np.float32))
+    stem = write_cube(cube, tmp_path / "c", wavelengths_nm=(450.0, 500.0))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(FormatError, match=r"sidecar .*c\.json: expected a finite number, got"):
+        write_cube(SpectralCube(np.zeros((2, 2, 2), dtype=np.float32)), stem,
+                   wavelengths_nm=(450.0, bad))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert read_cube(stem).data.tobytes() == cube.data.tobytes()
+    assert read_sidecar(stem).wavelengths_nm == (450.0, 500.0)
+
+
+def test_numpy_and_int_wavelengths_read_back_as_floats(tmp_path):
+    wl = (np.float32(450.5), np.int64(500), 550, np.float64(600.25))
+    stem = write_cube(SpectralCube(np.zeros((4, 2, 2), dtype=np.float32)), tmp_path / "c",
+                      wavelengths_nm=wl)
+    back = read_sidecar(stem).wavelengths_nm
+    assert back == (450.5, 500.0, 550.0, 600.25)
+    assert all(type(x) is float for x in back)
+    assert json.loads(stem.with_suffix(".json").read_text())["wavelengths_nm"] == list(back)
+
+
 def test_pattern_file_band_at_must_be_json_integers(tmp_path):
     path = tmp_path / "p.json"
     path.write_text('{"period": 2, "band_at": [0.5, 1, 2, 3]}')

@@ -33,7 +33,6 @@ from .core import (
     SpecmosaicError,
     SpectralCube,
     ValidationError,
-    Violation,
     crop_aligned,
     transform_d4,
     validate_cube,
@@ -70,7 +69,6 @@ __all__ = [
     "MosaicImage",
     "SfaPattern",
     "PatchOrigin",
-    "Violation",
     "validate_cube",
     "crop_aligned",
     "transform_d4",

@@ -8,8 +8,9 @@ frequency-variation map, ``metrics`` scores reconstructions, and
 
 Exit status: 0 on success, 2 on usage errors (argparse), 1 on processing
 errors, which are reported on stderr with the failing record's index where
-applicable. Outputs are deterministic: same inputs and flags produce
-byte-identical files regardless of ``SPECMOSAIC_THREADS``.
+applicable. Warnings print on stderr as ``warning: {message}``. Outputs are
+deterministic: same inputs and flags produce byte-identical files regardless
+of ``SPECMOSAIC_THREADS``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -271,6 +273,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as ``warning: {message}``, without its source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cli_dispatch(argv: list[str]) -> int:
     """Parse and run one command; returns the process exit status."""
     parser = _build_parser()
@@ -279,7 +286,9 @@ def cli_dispatch(argv: list[str]) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (SpecmosaicError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -38,7 +38,6 @@ __all__ = [
     "MosaicImage",
     "SfaPattern",
     "PatchOrigin",
-    "Violation",
     "validate_cube",
     "crop_aligned",
     "transform_d4",
@@ -133,10 +132,10 @@ class SpectralCube:
     """A dense spectral image: ``data[band, row, col]`` float32, read-only.
 
     Construction checks structure only (3 dimensions, each >= 1). Values may
-    be anything representable; use :func:`validate_cube` to check finiteness
-    and the nominal [0, 1] range. The constructor takes ownership of the
-    buffer when it is already C-contiguous float32 (it is marked read-only
-    in place); otherwise a converted copy is made.
+    be anything representable, NaN and infinities included: the value check
+    is :func:`validate_cube`, which every cube read runs. The constructor
+    takes ownership of the buffer when it is already C-contiguous float32
+    (it is marked read-only in place); otherwise a converted copy is made.
     """
 
     data: np.ndarray
@@ -263,50 +262,21 @@ class PatchOrigin:
             )
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One class of invariant violation found by :func:`validate_cube`.
+def validate_cube(cube: SpectralCube) -> None:
+    """Raise :class:`ValidationError` unless every sample is finite; the
+    value check :func:`~specmosaic.fileio.read_cube` runs on every read.
 
-    ``first`` lists up to the first 10 offending (band, row, col) positions
-    in storage order; ``count`` is the total number found.
-    """
-
-    kind: str  # "non_finite" | "out_of_range"
-    fatal: bool
-    count: int
-    first: tuple[tuple[int, int, int], ...]
-
-    def __str__(self) -> str:
-        where = ", ".join(str(t) for t in self.first)
-        return f"{self.kind}: {self.count} sample(s), first at {where}"
-
-
-def _collect(mask: np.ndarray, kind: str, fatal: bool) -> Violation | None:
-    count = int(mask.sum())
-    if count == 0:
-        return None
-    idx = np.argwhere(mask)[:10]
-    first = tuple((int(b), int(r), int(c)) for b, r, c in idx)
-    return Violation(kind=kind, fatal=fatal, count=count, first=first)
-
-
-def validate_cube(cube: SpectralCube) -> list[Violation]:
-    """Check value invariants; structural ones are enforced at construction.
-
-    Non-finite samples are fatal; values outside [0, 1] are warnings only,
-    because demosaicers can legitimately overshoot before clamping. An empty
-    list means every sample is finite and in range.
+    The test is the samples' minimum and maximum, finite exactly when every
+    sample is (NaN reaches both, an infinity one). The message counts the
+    non-finite samples and lists the first 10 (band, row, col) positions in
+    storage order.
     """
     data = cube.data
-    finite = np.isfinite(data)
-    out: list[Violation] = []
-    v = _collect(~finite, "non_finite", fatal=True)
-    if v is not None:
-        out.append(v)
-    v = _collect(finite & ((data < 0.0) | (data > 1.0)), "out_of_range", fatal=False)
-    if v is not None:
-        out.append(v)
-    return out
+    if np.isfinite(data.min()) and np.isfinite(data.max()):
+        return
+    bad = ~np.isfinite(data)
+    first = ", ".join(str(tuple(int(i) for i in idx)) for idx in np.argwhere(bad)[:10])
+    raise ValidationError(f"non_finite: {int(bad.sum())} sample(s), first at {first}")
 
 
 def crop_aligned(cube: SpectralCube, origin: PatchOrigin, period: int) -> SpectralCube:

@@ -197,6 +197,10 @@ def augment_cube(cube: SpectralCube) -> list[tuple[str, SpectralCube]]:
     Square inputs yield the 8 variants of D4_OPS in that fixed order,
     the first being the input itself. Non-square inputs can only keep their
     shape under 4 of the 8 ops, so only those are emitted, with a warning.
+
+    No pipeline calls it: ``pairs`` runs :func:`_augment_ops` and
+    :func:`~specmosaic.core.transform_d4` one variant at a time. It stays
+    public while the benchmark's per-layer trace still looks it up.
     """
     return [(op, transform_d4(cube, op)) for op in _augment_ops(cube)]
 
@@ -235,9 +239,10 @@ def make_pseudo_pairs(
 
     ``stride`` defaults to the patch height/width when omitted
     (non-overlapping tiling); a non-square patch requires an explicit stride.
+    Sources whose records would share a file name raise :class:`FormatError`
+    before any file is written.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if patch is not None:
         patch_h, patch_w = int(patch[0]), int(patch[1])
         stride = _patch_stride(patch_h, patch_w, stride)
@@ -248,6 +253,17 @@ def make_pseudo_pairs(
     ids = [s.name for s in sources]
     if len(set(ids)) != len(ids):
         raise FormatError(f"duplicate source cube names in {sorted(ids)}")
+    # Record stems start "{source}_{op}", so distinct sources can still name
+    # one file: "s" + "anti_transpose" and "s_anti" + "transpose".
+    writer: dict[str, Path] = {}
+    for source in sources:
+        for op in D4_OPS if augment else ("identity",):
+            other = writer.setdefault(f"{source.name}_{op}", source)
+            if other != source:
+                raise FormatError(
+                    f"sources {other} and {source} both write records named "
+                    f"{source.name}_{op}_*"
+                )
 
     def emit(
         source_id: str, aug: str, var: SpectralCube, wavelengths: tuple[float, ...] | None

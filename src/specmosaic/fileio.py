@@ -198,9 +198,9 @@ def read_cube(path: str | Path) -> SpectralCube:
     cube payload, a mosaic's too, is read here.
 
     Non-finite samples are rejected: files are the trust boundary, and every
-    kernel assumes finite data. The check is the samples' minimum and maximum,
-    finite exactly when every sample is (NaN reaches both, an infinity one);
-    only a failing read runs :func:`~specmosaic.core.validate_cube` to name them.
+    kernel assumes finite data. Every read runs
+    :func:`~specmosaic.core.validate_cube`, and its error is re-raised with
+    the payload path in front.
     """
     stem = cube_stem(path)
     side = read_sidecar(stem)
@@ -215,9 +215,10 @@ def read_cube(path: str | Path) -> SpectralCube:
         )
     arr = np.frombuffer(raw, dtype="<f4").reshape(side.bands, side.height, side.width)
     cube = SpectralCube(arr)
-    if not (np.isfinite(cube.data.min()) and np.isfinite(cube.data.max())):
-        fatal = [v for v in validate_cube(cube) if v.fatal]
-        raise ValidationError(f"{payload_path}: {fatal[0]}")
+    try:
+        validate_cube(cube)
+    except ValidationError as e:
+        raise ValidationError(f"{payload_path}: {e}") from None
     return cube
 
 

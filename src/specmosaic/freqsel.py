@@ -153,8 +153,9 @@ def centered_spectrum(band: np.ndarray) -> np.ndarray:
     """Unnormalized forward 2D DFT with the DC bin circularly shifted to
     (floor(H/2), floor(W/2)); valid for both parities.
 
-    The reference form of the map's step 1; no pipeline calls it. It stays
-    public while the benchmark's per-layer trace still looks it up.
+    The reference form of the map's step 1; no pipeline calls it. Its user
+    is acceptance criterion 2 ("centered spectrum vs O(N^4) DFT"), which
+    checks this package function against a brute-force DFT.
     """
     arr = np.asarray(band, dtype=np.float64)
     if arr.ndim != 2:

@@ -474,6 +474,38 @@ def test_stages_fork_workers_with_no_other_thread_alive(tmp_path, monkeypatch):
         assert "fork()" not in proc.stderr
 
 
+def test_warning_prints_as_one_line(tmp_path, monkeypatch):
+    # A warning reads "warning: {message}", without the file, line number
+    # and source line of the code that raised it.
+    _write_const_cube(tmp_path / "src" / "wide", [0.3, 0.5, 0.6, 0.8], h=8, w=12)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "1")
+    proc = _run_module("pairs", tmp_path / "src", "--pattern", "2x2", "--augment",
+                       "-o", tmp_path / "ds")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "warning: non-square cube 8x12: emitting only the 4 shape-preserving variants\n"
+    )
+
+
+def test_pairs_rejects_sources_whose_record_names_collide(tmp_path, capsys):
+    # "s" + "anti_transpose" and "s_anti" + "transpose" both name records
+    # s_anti_transpose_*, so one record would point at the other's files.
+    src = tmp_path / "src"
+    for name in ("s", "s_anti"):
+        _write_const_cube(src / name, [0.3, 0.5, 0.6, 0.8], h=8, w=8)
+    code, _, err = run(capsys, "pairs", src, "--pattern", "2x2", "--augment",
+                       "-o", tmp_path / "aug")
+    assert code == 1
+    assert err == (
+        f"error: sources {src / 's'} and {src / 's_anti'} both write records "
+        "named s_anti_transpose_*\n"
+    )
+    assert not (tmp_path / "aug").exists()
+    code, _, err = run(capsys, "pairs", src, "--pattern", "2x2", "-o", tmp_path / "ds")
+    assert code == 0, err
+    assert len(read_manifest(tmp_path / "ds" / "manifest.jsonl")) == 2
+
+
 _RECORD = {"mosaic": "m.bsq", "cube": "c.bsq", "source": "s", "origin": [0, 0], "aug": "identity"}
 
 

@@ -48,43 +48,37 @@ class TestSpectralCube:
 
 class TestValidateCube:
     def test_all_zeros_clean(self):
-        assert validate_cube(SpectralCube(np.zeros((4, 4, 4), dtype=np.float32))) == []
+        assert validate_cube(SpectralCube(np.zeros((4, 4, 4), dtype=np.float32))) is None
 
     def test_single_nan_reported_fatal(self):
         data = np.zeros((2, 3, 3), dtype=np.float32)
         data[0, 0, 0] = np.nan
-        report = validate_cube(SpectralCube(data))
-        assert len(report) == 1
-        v = report[0]
-        assert v.kind == "non_finite" and v.fatal and v.count == 1
-        assert v.first == ((0, 0, 0),)
-
-    def test_out_of_range_is_warning(self):
-        data = np.zeros((1, 2, 2), dtype=np.float32)
-        data[0, 1, 1] = 1.5
-        report = validate_cube(SpectralCube(data))
-        assert len(report) == 1
-        assert report[0].kind == "out_of_range" and not report[0].fatal
+        with pytest.raises(ValidationError) as e:
+            validate_cube(SpectralCube(data))
+        assert str(e.value) == "non_finite: 1 sample(s), first at (0, 0, 0)"
 
     def test_first_indices_capped_at_ten(self):
         data = np.full((1, 5, 5), np.inf, dtype=np.float32)
-        (v,) = validate_cube(SpectralCube(data))
-        assert v.count == 25 and len(v.first) == 10
+        with pytest.raises(ValidationError) as e:
+            validate_cube(SpectralCube(data))
+        first = ", ".join(f"(0, {i // 5}, {i % 5})" for i in range(10))
+        assert str(e.value) == f"non_finite: 25 sample(s), first at {first}"
 
     def test_matches_elementwise_scan(self):
+        # Finite samples outside [0, 1] pass: only non-finite ones are counted.
         rng = np.random.default_rng(11)
         data = rng.uniform(-0.5, 1.5, (3, 6, 6)).astype(np.float32)
+        assert validate_cube(SpectralCube(data.copy())) is None
         data[1, 2, 3] = np.nan
-        report = validate_cube(SpectralCube(data))
-        bad_nonfinite = sum(
-            1 for x in data.ravel() if not np.isfinite(x)
-        )
-        bad_range = sum(
-            1 for x in data.ravel() if np.isfinite(x) and (x < 0 or x > 1)
-        )
-        by_kind = {v.kind: v.count for v in report}
-        assert by_kind.get("non_finite", 0) == bad_nonfinite
-        assert by_kind.get("out_of_range", 0) == bad_range
+        data[2, 0, 5] = -np.inf
+        bad = [
+            (b, r, c) for b in range(3) for r in range(6) for c in range(6)
+            if not np.isfinite(data[b, r, c])
+        ]
+        with pytest.raises(ValidationError) as e:
+            validate_cube(SpectralCube(data))
+        first = ", ".join(str(t) for t in bad)
+        assert str(e.value) == f"non_finite: {len(bad)} sample(s), first at {first}"
 
 
 class TestSfaPattern:

@@ -4,10 +4,15 @@ over random patterns and sizes.
 Periods run 1-8 with a random bijective band assignment, and each side runs
 from one period to just under four, so most sides are not period multiples.
 Samples are random finite float32 bit patterns, with -0.0 and subnormals
-mixed in on purpose.
+mixed in on purpose. The non-finite check runs on the same samples with NaNs
+of either sign and any payload, and infinities, mixed in.
 """
 
+import json
+import math
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +21,12 @@ from specmosaic import (
     MosaicImage,
     SfaPattern,
     SpectralCube,
+    ValidationError,
     mosaic,
     remosaic,
     sparse_expand,
     transform_d4,
+    validate_cube,
 )
 from specmosaic.dataset import AUGMENT_OPS_NONSQUARE
 from specmosaic.demosaic import wb_bilinear
@@ -137,3 +144,63 @@ def test_d4_closed_under_composition(case):
             assert len(same) == 1, (a, b, same)
             assert same[0] in ops
             assert _d4(cube, a, b).data.tobytes() == _d4(cube, same[0]).data.tobytes()
+
+
+# ------------------------------------------------------ non-finite check
+
+
+@st.composite
+def _maybe_non_finite(draw):
+    """A (1-3, 1-12, 1-12) array of :func:`_samples`; in half the cases a
+    random share of them becomes NaN (any sign and payload) or +-inf."""
+    shape = tuple(draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 12), (1, 12)))
+    data = _samples(draw, shape)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        hit = rng.random(shape) < draw(st.sampled_from([0.01, 0.1, 0.5, 1.0]))
+        sign = rng.integers(0, 2, shape, dtype=np.uint32) << np.uint32(31)
+        payload = rng.integers(0, 2**23, shape, dtype=np.uint32)
+        payload[rng.random(shape) < 0.25] = 0  # a zero payload is an infinity
+        bits = data.view(np.uint32)
+        bits[hit] = (sign | _EXP | payload)[hit]
+    return data
+
+
+def _scan_message(data: np.ndarray) -> str | None:
+    """The non-finite report built one sample at a time in storage order."""
+    bad = [idx for idx in np.ndindex(data.shape) if not math.isfinite(float(data[idx]))]
+    if not bad:
+        return None
+    return f"non_finite: {len(bad)} sample(s), first at " + ", ".join(map(str, bad[:10]))
+
+
+def _f32_bits(*bits: int) -> np.ndarray:
+    return np.array(bits, dtype=np.uint32).view(np.float32).reshape(1, 1, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_maybe_non_finite())
+@example(data=_f32_bits(0xFFC00001))  # a negative quiet NaN with a payload
+@example(data=_f32_bits(0x7F800001, 0x3F800000))  # a signalling NaN
+@example(data=_f32_bits(0x3F800000, 0x7F800000))  # a lone +inf: not the minimum
+@example(data=_f32_bits(0x7F7FFFFF, 0xFF7FFFFF))  # +-float32 max are finite
+@example(data=np.full((2, 3, 4), -np.inf, dtype=np.float32))
+def test_non_finite_check_matches_an_elementwise_scan(tmp_path_factory, data):
+    want = _scan_message(data)
+    bands, height, width = data.shape
+    stem = tmp_path_factory.mktemp("nf") / "c"
+    stem.with_suffix(".json").write_text(
+        json.dumps({"height": height, "width": width, "bands": bands})
+    )
+    stem.with_suffix(".bsq").write_bytes(data.astype("<f4").tobytes())
+    cube = SpectralCube(data)
+    if want is None:
+        assert validate_cube(cube) is None
+        assert read_cube(stem).data.tobytes() == cube.data.tobytes()
+        return
+    with pytest.raises(ValidationError) as e:
+        validate_cube(cube)
+    assert str(e.value) == want
+    with pytest.raises(ValidationError) as e:
+        read_cube(stem)
+    assert str(e.value) == f"{stem.with_suffix('.bsq')}: {want}"

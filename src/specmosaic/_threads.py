@@ -95,29 +95,30 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     return [fn(x) for x in seq]
 
 
-def map_records(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    what: str | Callable[[T], str] = "record",
-) -> list[R]:
-    """:func:`parallel_map` that names the failing item.
+def _named(fn: Callable[[T], R], what: str | Callable[[T], str], item: tuple[int, T]) -> R:
+    """``fn(x)`` for an ``(i, x)`` item, naming the item if it fails.
 
     A :class:`SpecmosaicError` from ``fn`` is re-raised as the same type
     prefixed with ``"{what} {i}: "``; an ``OSError`` becomes a
     :class:`FormatError` with that prefix; ``what`` may be a function of the
     failing item.
     """
+    i, x = item
+    try:
+        return fn(x)
+    except (SpecmosaicError, OSError) as e:
+        word = what if isinstance(what, str) else what(x)
+        kind = type(e) if isinstance(e, SpecmosaicError) else FormatError
+        raise kind(f"{word} {i}: {e}") from e
 
-    def job(item: tuple[int, T]) -> R:
-        i, x = item
-        try:
-            return fn(x)
-        except (SpecmosaicError, OSError) as e:
-            word = what if isinstance(what, str) else what(x)
-            kind = type(e) if isinstance(e, SpecmosaicError) else FormatError
-            raise kind(f"{word} {i}: {e}") from e
 
-    return parallel_map(job, list(enumerate(items)))
+def map_records(
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    what: str | Callable[[T], str] = "record",
+) -> list[R]:
+    """:func:`parallel_map` of :func:`_named`, which names the failing item."""
+    return parallel_map(lambda item: _named(fn, what, item), list(enumerate(items)))
 
 
 def map_pairs(

@@ -9,14 +9,13 @@ frequency-variation map, ``metrics`` scores reconstructions, and
 Exit status: 0 on success, 2 on usage errors (argparse), 1 on processing
 errors, which are reported on stderr with the failing record's index where
 applicable. Warnings print on stderr as ``warning: {message}``. Outputs are
-deterministic: same inputs and flags produce byte-identical files regardless
-of ``SPECMOSAIC_THREADS``.
+deterministic: same inputs and flags produce byte-identical files, stdout
+and stderr regardless of ``SPECMOSAIC_THREADS``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from functools import partial
@@ -49,7 +48,7 @@ from .fileio import (
     write_fvmap,
     write_mosaic,
 )
-from .freqsel import FreqParams, SelectionParams, count_distribution, frequency_variation_map
+from .freqsel import FreqParams, SelectionParams, frequency_variation_map
 from .metrics import evaluate_dataset
 from .sfa import _check_bands, mosaic as sfa_mosaic
 
@@ -118,20 +117,7 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 def _cmd_select_hard(args: argparse.Namespace) -> int:
     sparams = SelectionParams(t_var=args.t_var, t_cnt=args.t_cnt)
-    kept = filter_hard(
-        args.manifest, _freq_params(args), sparams, out_path=args.output
-    )
-    sidecar = Path(f"{args.output}.verdicts.json").read_text(encoding="utf-8")
-    counts = [v["count"] for v in json.loads(sidecar)["verdicts"]]
-    if counts and len(kept) in (0, len(counts)):
-        # Keeping none or all says the thresholds do not separate this corpus.
-        d = count_distribution(counts)
-        print(
-            f"warning: kept {len(kept)} of {len(counts)} records "
-            f"({len(kept) / len(counts):.0%}); counts min {d['min']:.12g}, "
-            f"p50 {d['p50']:.12g}, max {d['max']:.12g} against t_cnt {sparams.t_cnt}",
-            file=sys.stderr,
-        )
+    kept = filter_hard(args.manifest, _freq_params(args), sparams, out_path=args.output)
     print(f"{len(kept)} hard records -> {args.output}")
     return 0
 

@@ -36,7 +36,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._threads import map_records
+from ._threads import _named, map_records
 from ._version import TOOL_VERSION
 from .core import (
     D4_OPS,
@@ -62,7 +62,7 @@ from .fileio import (
     write_mosaic,
     _atomic_write_bytes,
 )
-from .freqsel import FreqParams, SelectionParams, select_hard
+from .freqsel import FreqParams, SelectionParams, count_distribution, select_hard
 from .sfa import _check_bands, remosaic
 
 __all__ = [
@@ -177,16 +177,15 @@ def patchify(
     return out
 
 
-def _augment_ops(cube: SpectralCube) -> Sequence[str]:
-    """The ops :func:`augment_cube` applies to ``cube``: all of D4_OPS for a
-    square cube, else the shape-preserving 4, with a warning."""
-    if cube.height == cube.width:
+def _augment_ops(height: int, width: int, what: str) -> Sequence[str]:
+    """The ops augmentation applies to a ``height`` x ``width`` cube: all of
+    D4_OPS if it is square, else the shape-preserving 4 and a warning."""
+    if height == width:
         return D4_OPS
     warnings.warn(
-        f"non-square cube {cube.height}x{cube.width}: emitting only the "
+        f"non-square {what} {height}x{width}: emitting only the "
         f"{len(AUGMENT_OPS_NONSQUARE)} shape-preserving variants",
         RuntimeWarning,
-        stacklevel=3,
     )
     return AUGMENT_OPS_NONSQUARE
 
@@ -198,21 +197,17 @@ def augment_cube(cube: SpectralCube) -> list[tuple[str, SpectralCube]]:
     the first being the input itself. Non-square inputs can only keep their
     shape under 4 of the 8 ops, so only those are emitted, with a warning.
 
-    No pipeline calls it: ``pairs`` runs :func:`_augment_ops` and
-    :func:`~specmosaic.core.transform_d4` one variant at a time. It stays
-    public while the benchmark's per-layer trace still looks it up.
+    No pipeline calls it: ``pairs`` runs :func:`_augment_ops` on each
+    source's sidecar shape and :func:`~specmosaic.core.transform_d4` one
+    variant at a time. It stays public while the benchmark's per-layer trace
+    still looks it up.
     """
-    return [(op, transform_d4(cube, op)) for op in _augment_ops(cube)]
+    return [(op, transform_d4(cube, op)) for op in _augment_ops(cube.height, cube.width, "cube")]
 
 
 def _patch_stem(prefix: str, origin: PatchOrigin) -> str:
     """``prefix`` plus the patch origin, the one stem format of every patch."""
     return f"{prefix}_r{origin.row:05d}_c{origin.col:05d}"
-
-
-def _record_stems(source: str, aug: str, origin: PatchOrigin) -> tuple[str, str]:
-    base = _patch_stem(f"{source}_{aug}", origin)
-    return base + "_cube", base + "_mosaic"
 
 
 def make_pseudo_pairs(
@@ -234,13 +229,16 @@ def make_pseudo_pairs(
     ``out_dir/MANIFEST_NAME``) are relative to ``out_dir``. Re-reading any
     record and re-sampling its cube reproduces its mosaic bit-exactly.
 
-    Variants are made one at a time, each cut and written before the next,
+    Each source's sidecar is read once, in source order, before any file is
+    written, and its shape decides the ops: with ``augment``, all of D4_OPS
+    for a square source, else the shape-preserving 4 and one warning naming
+    it. Sources whose ``{source}_{op}`` stems meet for the ops they emit,
+    equal names included, raise :class:`FormatError`. Workers then make a
+    source's variants one at a time, each cut and written before the next,
     so a worker holds one source cube, one variant and its patches.
 
     ``stride`` defaults to the patch height/width when omitted
     (non-overlapping tiling); a non-square patch requires an explicit stride.
-    Sources whose records would share a file name raise :class:`FormatError`
-    before any file is written.
     """
     out = Path(out_dir)
     if patch is not None:
@@ -249,19 +247,23 @@ def make_pseudo_pairs(
     elif stride is not None:
         raise AlignmentError("a stride without a patch size is meaningless")
 
-    sources = [cube_stem(p) for p in cube_paths]
-    ids = [s.name for s in sources]
-    if len(set(ids)) != len(ids):
-        raise FormatError(f"duplicate source cube names in {sorted(ids)}")
-    # Record stems start "{source}_{op}", so distinct sources can still name
-    # one file: "s" + "anti_transpose" and "s_anti" + "transpose".
-    writer: dict[str, Path] = {}
-    for source in sources:
-        for op in D4_OPS if augment else ("identity",):
-            other = writer.setdefault(f"{source.name}_{op}", source)
-            if other != source:
+    def plan(source: Path) -> tuple[Path, tuple[float, ...] | None, Sequence[str]]:
+        side = read_sidecar(source)
+        ops = _augment_ops(side.height, side.width, f"cube {source}") if augment else ("identity",)
+        return source, side.wavelengths_nm, ops
+
+    # In the parent and in source order, so warnings and errors come out the
+    # same for any worker count.
+    plans = [_named(plan, "source", item) for item in enumerate(map(cube_stem, cube_paths))]
+    # Record stems start "{source}_{op}", so equal names meet, and so do
+    # "s" + "anti_transpose" and "s_anti" + "transpose".
+    writer: dict[str, int] = {}
+    for i, (source, _, ops) in enumerate(plans):
+        for op in ops:
+            j = writer.setdefault(f"{source.name}_{op}", i)
+            if j != i:
                 raise FormatError(
-                    f"sources {other} and {source} both write records named "
+                    f"sources {plans[j][0]} and {source} both write records named "
                     f"{source.name}_{op}_*"
                 )
 
@@ -275,7 +277,8 @@ def make_pseudo_pairs(
             pieces = [(PatchOrigin(0, 0, var.height, var.width), var)]
         records: list[PairRecord] = []
         for origin, label in pieces:
-            cube_name, mosaic_name = _record_stems(source_id, aug, origin)
+            stem = _patch_stem(f"{source_id}_{aug}", origin)
+            cube_name, mosaic_name = stem + "_cube", stem + "_mosaic"
             write_cube(label, out / cube_name, pattern=pattern, wavelengths_nm=wavelengths)
             write_mosaic(remosaic(label, pattern), out / mosaic_name, pattern=pattern)
             records.append(
@@ -289,16 +292,15 @@ def make_pseudo_pairs(
             )
         return records
 
-    def job(item: tuple[str, Path]) -> list[PairRecord]:
-        source_id, path = item
-        cube, side = read_cube(path), read_sidecar(path)
+    def job(item: tuple[Path, tuple[float, ...] | None, Sequence[str]]) -> list[PairRecord]:
+        path, wavelengths, ops = item
+        cube = read_cube(path)
         _check_bands(cube, pattern, f"cube {path}")
         # D4 ops and crops keep band order, so every patch keeps the list.
-        ops = _augment_ops(cube) if augment else ("identity",)
         return [rec for op in ops
-                for rec in emit(source_id, op, transform_d4(cube, op), side.wavelengths_nm)]
+                for rec in emit(path.name, op, transform_d4(cube, op), wavelengths)]
 
-    per_source = map_records(job, zip(ids, sources), what="source")
+    per_source = map_records(job, plans, what="source")
     records = [r for chunk in per_source for r in chunk]
     write_manifest(records, out / MANIFEST_NAME)
     return records
@@ -328,7 +330,8 @@ def filter_hard(
     ``record i``. The filtered manifest — a subsequence of the input, with
     ``hard`` and ``count`` filled in and paths rebased onto its own
     directory — is written to ``out_path``, and a full per-record verdict
-    sidecar to ``out_path + ".verdicts.json"``. Returns the surviving records.
+    sidecar to ``out_path + ".verdicts.json"``. Returns the surviving records;
+    a run that keeps none or all of them warns with the count distribution.
     """
     fparams = fparams or FreqParams()
     sparams = sparams or SelectionParams()
@@ -357,4 +360,13 @@ def filter_hard(
     }
     doc = json.dumps(sidecar, indent=2) + "\n"
     _atomic_write_bytes(Path(str(out_path) + ".verdicts.json"), doc.encode("utf-8"))
+    if verdicts and len(kept) in (0, len(verdicts)):
+        # Keeping none or all says the thresholds do not separate this corpus.
+        d = count_distribution([v.count for v in verdicts])
+        warnings.warn(
+            f"kept {len(kept)} of {len(verdicts)} records "
+            f"({len(kept) / len(verdicts):.0%}); counts min {d['min']:.12g}, "
+            f"p50 {d['p50']:.12g}, max {d['max']:.12g} against t_cnt {sparams.t_cnt}",
+            RuntimeWarning,
+        )
     return kept

@@ -483,7 +483,24 @@ def test_warning_prints_as_one_line(tmp_path, monkeypatch):
                        "-o", tmp_path / "ds")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == (
-        "warning: non-square cube 8x12: emitting only the 4 shape-preserving variants\n"
+        f"warning: non-square cube {tmp_path / 'src' / 'wide'} 8x12: "
+        "emitting only the 4 shape-preserving variants\n"
+    )
+
+
+def test_non_square_warning_once_per_source_in_source_order(tmp_path, monkeypatch):
+    # The parent decides every source's ops before the workers start, so
+    # each non-square source warns once, named, whatever the worker count.
+    src = tmp_path / "src"
+    for name in ("a", "b", "c"):
+        _write_const_cube(src / name, [0.3, 0.5, 0.6, 0.8], h=8, w=12)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+    proc = _run_module("pairs", src, "--pattern", "2x2", "--augment", "-o", tmp_path / "ds")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "".join(
+        f"warning: non-square cube {src / name} 8x12: "
+        "emitting only the 4 shape-preserving variants\n"
+        for name in ("a", "b", "c")
     )
 
 
@@ -504,6 +521,14 @@ def test_pairs_rejects_sources_whose_record_names_collide(tmp_path, capsys):
     code, _, err = run(capsys, "pairs", src, "--pattern", "2x2", "-o", tmp_path / "ds")
     assert code == 0, err
     assert len(read_manifest(tmp_path / "ds" / "manifest.jsonl")) == 2
+    # Non-square sources emit neither transpose, so the same names pass.
+    wide = tmp_path / "wide"
+    for name in ("s", "s_anti"):
+        _write_const_cube(wide / name, [0.3, 0.5, 0.6, 0.8], h=8, w=12)
+    code, _, err = run(capsys, "pairs", wide, "--pattern", "2x2", "--augment",
+                       "-o", tmp_path / "wide_aug")
+    assert code == 0, err
+    assert len(read_manifest(tmp_path / "wide_aug" / "manifest.jsonl")) == 8
 
 
 _RECORD = {"mosaic": "m.bsq", "cube": "c.bsq", "source": "s", "origin": [0, 0], "aug": "identity"}

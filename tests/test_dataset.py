@@ -366,6 +366,19 @@ def test_pairs_duplicate_sources_rejected(tmp_path):
         make_pseudo_pairs([a, b], pattern, tmp_path / "ds")
 
 
+def test_pairs_equal_source_names_collide(tmp_path):
+    # Both sources would write same_identity_*, so the stem check names them.
+    rng = np.random.default_rng(89)
+    a = write_cube(_rand_cube(rng, 4, 8, 8), tmp_path / "one" / "same")
+    b = write_cube(_rand_cube(rng, 4, 8, 8), tmp_path / "two" / "same")
+    want = (f"sources {tmp_path / 'one' / 'same'} and {tmp_path / 'two' / 'same'} "
+            "both write records named same_identity_*")
+    with pytest.raises(FormatError) as info:
+        make_pseudo_pairs([a, b], SfaPattern.row_major(2), tmp_path / "ds")
+    assert str(info.value) == want
+    assert not (tmp_path / "ds").exists()
+
+
 def test_pairs_band_mismatch_names_source(tmp_path):
     rng = np.random.default_rng(81)
     pattern = SfaPattern.row_major(3)  # wants 9 bands
@@ -399,7 +412,8 @@ def test_filter_hard_constant_manifest_selects_nothing(tmp_path):
     paths = _constant_sources(tmp_path, rng, 3, h=32, w=32)
     out = tmp_path / "ds"
     make_pseudo_pairs(paths, SfaPattern.row_major(2), out)
-    kept = filter_hard(out / "manifest.jsonl", out_path=tmp_path / "hard.jsonl")
+    with pytest.warns(RuntimeWarning, match="kept 0 of 3 records"):
+        kept = filter_hard(out / "manifest.jsonl", out_path=tmp_path / "hard.jsonl")
     assert kept == []
     assert read_manifest(tmp_path / "hard.jsonl") == []
     verdicts = json.loads((tmp_path / "hard.jsonl.verdicts.json").read_text())

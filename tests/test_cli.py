@@ -1,6 +1,9 @@
+import ctypes
 import json
 import math
+import mmap
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from specmosaic import SfaPattern, SpectralCube, mosaic as sfa_mosaic, wb_bilinear
+from specmosaic import cli
 from specmosaic.cli import cli_dispatch
 from specmosaic.dataset import read_manifest
 from specmosaic.fileio import cube_stem, read_cube, read_mosaic, read_sidecar, write_cube
@@ -439,14 +443,17 @@ def test_band_count_mismatch_exits_1(tmp_path, capsys):
     assert "error:" in err
 
 
-def _run_module(*argv):
+def _run_python(*argv):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "specmosaic.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env,
+        [sys.executable, *map(str, argv)], capture_output=True, text=True, env=env,
     )
+
+
+def _run_module(*argv):
+    return _run_python("-m", "specmosaic.cli", *argv)
 
 
 def test_module_entry_point_runs():
@@ -472,6 +479,78 @@ def test_stages_fork_workers_with_no_other_thread_alive(tmp_path, monkeypatch):
         proc = _run_module(*argv)
         assert proc.returncode == 0, proc.stderr
         assert "fork()" not in proc.stderr
+
+
+needs_glibc = pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds"
+)
+
+# Faults taken by 32 rounds of three 4 MiB blocks allocated at once and freed.
+_HEAP_ROUNDS = """
+import resource, sys
+from specmosaic.cli import _keep_freed_heap, cli_dispatch
+if sys.argv[1] == "keep":
+    _keep_freed_heap()
+elif cli_dispatch(sys.argv[2:]) != 0:
+    sys.exit("cli_dispatch failed")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(32):
+    held = [bytearray(4 << 20) for _ in range(3)]
+    del held
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _heap_faults(*argv):
+    proc = _run_python("-c", _HEAP_ROUNDS, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+@needs_glibc
+def test_kept_heap_is_reused_instead_of_faulted_in_again(tmp_path):
+    # glibc's adaptive thresholds follow the largest freed block, 4 MiB here,
+    # and trim above twice that, so three blocks at once go back to the
+    # kernel every round unless the heap is kept.
+    bound = 2 * 3 * (4 << 20) // mmap.PAGESIZE
+    assert _heap_faults("keep") < bound
+    # Importing the package and running a command in-process keep glibc's
+    # defaults: only main() changes the allocator.
+    cube = _write_const_cube(tmp_path / "c", [0.2, 0.4, 0.6, 0.8], h=8, w=8)
+    assert _heap_faults("dispatch", "mosaic", cube, "--pattern", "2x2",
+                        "-o", tmp_path / "m") >= bound
+
+
+def test_main_keeps_freed_heap_once_before_dispatch(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append("keep"))
+    monkeypatch.setattr(cli, "cli_dispatch", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", ["specmosaic", "--version"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 0
+    assert calls == ["keep", ["--version"]]
+
+
+def _raises(exc):
+    def cdll(name):
+        raise exc
+
+    return cdll
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [_raises(OSError("no libc")), _raises(TypeError("no handle for None")), lambda name: object()],
+    ids=["cdll-oserror", "cdll-typeerror", "no-mallopt"],
+)
+def test_main_runs_where_libc_has_no_mallopt(monkeypatch, capsys, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(sys, "argv", ["specmosaic", "--version"])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("specmosaic ")
 
 
 def test_warning_prints_as_one_line(tmp_path, monkeypatch):

@@ -143,6 +143,36 @@ def test_pool_forks_with_no_other_thread_alive(monkeypatch):
     assert [str(w.message) for w in log if "fork()" in str(w.message)] == []
 
 
+# OS threads of this process right after each fork, while a list is set. A
+# fork handler cannot be unregistered, so it is registered once and gated.
+_tasks_after_fork: list[int] | None = None
+_task_recorder_registered = False
+
+
+def _record_tasks_after_fork() -> None:
+    if _tasks_after_fork is not None:
+        _tasks_after_fork.append(len(os.listdir("/proc/self/task")))
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts Linux tasks")
+def test_pool_forks_while_the_parent_runs_one_thread(monkeypatch):
+    # NumPy's OpenBLAS keeps a pool thread alive after import, and its own
+    # fork handler stops it before each fork. This is the precondition of the
+    # fork-warning tests above, checked also on Pythons that do not warn.
+    global _tasks_after_fork, _task_recorder_registered
+    if not _task_recorder_registered:
+        os.register_at_fork(after_in_parent=_record_tasks_after_fork)
+        _task_recorder_registered = True
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+    _tasks_after_fork = counts = []
+    try:
+        assert map_records(abs, range(-4, 0)) == [4, 3, 2, 1]
+    finally:
+        _tasks_after_fork = None
+    assert counts == [1, 1]  # one fork per worker, each with the parent alone
+
+
 @pytest.mark.parametrize("threads, n_items", [("1", 5), ("2", 1)])
 def test_one_worker_never_forks(monkeypatch, threads, n_items):
     def no_fork():

@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import json
 import math
 import mmap
@@ -525,11 +526,41 @@ def test_main_keeps_freed_heap_once_before_dispatch(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append("keep"))
     monkeypatch.setattr(cli, "cli_dispatch", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(sys, "argv", ["specmosaic", "--version"])
     with pytest.raises(SystemExit) as info:
         cli.main()
     assert info.value.code == 0
-    assert calls == ["keep", ["--version"]]
+    assert calls == ["keep", ["--version"], "freeze"]
+
+
+# Objects the collector holds frozen when the interpreter exits.
+_FREEZE_AT_EXIT = """
+import atexit, gc, sys
+from specmosaic import cli
+atexit.register(lambda: print(gc.get_freeze_count()))
+if sys.argv[1] == "main":
+    sys.argv[1:] = ["--version"]
+    cli.main()
+sys.exit(cli.cli_dispatch(["--version"]))
+"""
+
+
+@pytest.mark.parametrize("entry, frozen", [("main", True), ("dispatch", False)])
+def test_only_main_freezes_the_collector(entry, frozen):
+    # Freezing skips the exit-time full collection; in-process callers, tests
+    # and the benchmark's trace among them, keep normal collection.
+    proc = _run_python("-c", _FREEZE_AT_EXIT, entry)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("specmosaic ")
+    assert (int(proc.stdout.split()[-1]) > 0) is frozen
+
+
+@pytest.fixture
+def thawed_gc():
+    """Undo the freeze that an in-process ``cli.main()`` leaves behind."""
+    yield
+    gc.unfreeze()
 
 
 def _raises(exc):
@@ -544,7 +575,7 @@ def _raises(exc):
     [_raises(OSError("no libc")), _raises(TypeError("no handle for None")), lambda name: object()],
     ids=["cdll-oserror", "cdll-typeerror", "no-mallopt"],
 )
-def test_main_runs_where_libc_has_no_mallopt(monkeypatch, capsys, cdll):
+def test_main_runs_where_libc_has_no_mallopt(monkeypatch, capsys, thawed_gc, cdll):
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     monkeypatch.setattr(sys, "argv", ["specmosaic", "--version"])
     with pytest.raises(SystemExit) as info:

@@ -1,5 +1,8 @@
-import multiprocessing
 import os
+import pickle
+import signal
+import subprocess
+import sys
 import time
 import warnings
 from contextlib import contextmanager
@@ -20,7 +23,7 @@ from specmosaic import (
     select_hard,
     wb_bilinear,
 )
-from specmosaic._threads import map_records, worker_count
+from specmosaic._threads import map_records, parallel_map, worker_count
 
 
 def _usable_cpus():
@@ -65,6 +68,28 @@ needs_two_cpus = pytest.mark.skipif(
 )
 
 
+def _assert_no_children():
+    # Every worker has been reaped: this process has no child, not even a zombie.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _within(seconds):
+    """Raise TimeoutError in place of a hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 @contextmanager
 def _workers(n):
     old = os.environ.get("SPECMOSAIC_THREADS")
@@ -90,7 +115,7 @@ def test_pool_maps_a_closure_in_input_order(monkeypatch):
     out = map_records(fn, range(12))
     assert [list(v) for v, _ in out] == [[0.0, x, 2.0 * x] for x in range(12)]
     assert all(pid != parent for _, pid in out)
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
 @needs_two_cpus
@@ -106,10 +131,10 @@ def test_pool_worker_errors_keep_type_and_message(monkeypatch):
 
     with pytest.raises(ShapeError, match=r"^pair 3: bad shape$"):
         map_records(fn, range(8), what="pair")
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
     with pytest.raises(FormatError, match=r"^record 5: denied$"):
         map_records(fn, [0, 1, 2, 4, 4, 5, 6])
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
 @needs_two_cpus
@@ -127,7 +152,91 @@ def test_pool_cancels_items_not_started_after_a_failure(monkeypatch, tmp_path):
         map_records(fn, range(40))
     # Item 0 fails at once; only the few items already handed to a worker run.
     assert len(list(tmp_path.iterdir())) <= 8
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
+
+
+@needs_two_cpus
+def test_pool_reports_a_worker_that_dies_mid_item(monkeypatch):
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+
+    def fn(x):
+        if x == 3:
+            os._exit(3)
+        return x
+
+    with _within(10), pytest.raises(
+        ChildProcessError, match=r"^item 3: worker exited with status 3 before replying$"
+    ):
+        parallel_map(fn, range(8))
+    _assert_no_children()
+
+
+class _Unpicklable(ValueError):
+    pass
+
+
+@needs_two_cpus
+def test_pool_names_an_item_whose_reply_cannot_be_pickled(monkeypatch):
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+
+    def fn(x):
+        if x == "exception":
+            error = _Unpicklable("bad")
+            error.hook = lambda: x
+            raise error
+        return (lambda: x) if x == "result" else x
+
+    with _within(10):
+        with pytest.raises(pickle.PicklingError, match=r"^item 1: cannot send its result back: "):
+            parallel_map(fn, ["a", "result", "b"])
+        with pytest.raises(pickle.PicklingError, match=r"^item 1: cannot send its exception back: "):
+            parallel_map(fn, ["a", "exception", "b"])
+    _assert_no_children()
+
+
+@needs_two_cpus
+def test_pool_runs_with_a_closed_or_missing_std_stream(monkeypatch):
+    # The pool flushes both streams before it forks and in each worker as it
+    # exits; a caller may have closed one or run without one.
+    closed = open(os.devnull, "w")
+    closed.close()
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+    monkeypatch.setattr(sys, "stdout", closed)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert parallel_map(abs, [-1, -2, -3]) == [1, 2, 3]
+    _assert_no_children()
+
+
+@needs_two_cpus
+def test_pool_imports_no_multiprocessing():
+    # The map forks its workers itself: neither package is loaded by the CLI
+    # process, whose start-up they would lengthen.
+    code = (
+        "import sys\n"
+        "from specmosaic import cli\n"
+        "from specmosaic._threads import parallel_map\n"
+        "assert parallel_map(abs, [-1, -2]) == [1, 2]\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, SPECMOSAIC_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts Linux tasks")
+def test_pool_runs_no_helper_thread_while_items_run(monkeypatch):
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+
+    def parent_tasks(x):
+        time.sleep(0.05)
+        return len(os.listdir(f"/proc/{os.getppid()}/task"))
+
+    assert parallel_map(parent_tasks, range(6)) == [1] * 6
+    _assert_no_children()
 
 
 @needs_two_cpus

@@ -7,7 +7,12 @@
 # digest of every file in them. It also compares, for every mosaic of the
 # 1-worker trees, the digest of its `wb_bilinear` reconstruction, so the
 # reconstruction's bytes are checked directly and not only through the
-# records that reach the report. Run from the repository root:
+# records that reach the report. For every record of the 1-worker trees it
+# also runs `specmosaic demosaic` on the mosaic, then `specmosaic fvmap
+# --pgm` on the record's cube and that reconstruction, and compares the
+# digests of the map's `.bsq`, `.json` and `.pgm`. Both go through
+# `cli_dispatch`, so the two sides make the same calls even where their
+# Python APIs differ. Run from the repository root:
 #
 #   scripts/check_trees.sh [BASE]
 #
@@ -24,7 +29,8 @@ git archive --prefix=base/ "$base" | tar -x -C "$work"
 
 # digests ROOT OUT: build every tree with ROOT's code under OUT and print
 # one "<workload>.w<n>/<file>": "<sha256>" line per output file, plus one
-# "<workload>.w1/wb_bilinear/<mosaic>" line per mosaic.
+# "<workload>.w1/wb_bilinear/<mosaic>" line per mosaic and one
+# "<workload>.w1/fvmap/<record>.<ext>" line per map file of each record.
 digests() {
     python3 - "$1" "$2" <<'PY'
 import hashlib, json, sys
@@ -35,6 +41,7 @@ from checks import tree_digest
 from run import run_pipeline
 from workloads import WORKLOADS, generate
 import specmosaic
+from specmosaic.cli import cli_dispatch
 from specmosaic.dataset import read_manifest
 from specmosaic.demosaic import wb_bilinear
 from specmosaic.fileio import read_mosaic, read_sidecar
@@ -53,6 +60,16 @@ for name in ("c5", "large-sparse"):
         cube = wb_bilinear(read_mosaic(ds / rec.mosaic), read_sidecar(ds / rec.mosaic).pattern)
         sha = hashlib.sha256(cube.data.tobytes()).hexdigest()
         digests[f"{name}.w1/wb_bilinear/{rec.mosaic}"] = sha
+        stem = Path(rec.mosaic).stem
+        recon, fv = work / name / "recon" / stem, work / name / "fvmap" / stem
+        p = WORKLOADS[name].period
+        assert cli_dispatch(["demosaic", str(ds / rec.mosaic), "--pattern", f"{p}x{p}",
+                             "-o", str(recon)]) == 0, f"demosaic {rec.mosaic} failed"
+        assert cli_dispatch(["fvmap", str(ds / rec.cube), f"{recon}.bsq", "-o", str(fv),
+                             "--pgm", f"{fv}.pgm"]) == 0, f"fvmap {rec.mosaic} failed"
+        for ext in ("bsq", "json", "pgm"):
+            sha = hashlib.sha256(Path(f"{fv}.{ext}").read_bytes()).hexdigest()
+            digests[f"{name}.w1/fvmap/{stem}.{ext}"] = sha
 print(json.dumps(digests, indent=0, sort_keys=True))
 PY
 }

@@ -40,7 +40,6 @@ from .core import (
 from .demosaic import wb_bilinear
 from .freqsel import (
     FreqParams,
-    FrequencyVariationMap,
     PatchVerdict,
     SelectionParams,
     centered_spectrum,
@@ -82,7 +81,6 @@ __all__ = [
     # freqsel
     "FreqParams",
     "SelectionParams",
-    "FrequencyVariationMap",
     "PatchVerdict",
     "centered_spectrum",
     "log_magnitude",

@@ -8,9 +8,9 @@ from any language and round-trips bit-identically.
 
 Mosaics reuse the same container with ``bands = 1``. Real 16-bit camera
 frames come in through binary PGM (``P5`` / maxval 65535, most significant
-byte first), normalized to [0, 1] by dividing by 65535. Frequency-variation
-maps can additionally be exported as 8-bit PGM previews normalized by the map
-maximum.
+byte first), normalized to [0, 1] by dividing by 65535. A frequency-variation
+map, a plain (H, W) array, is written as a 1-band cube and can additionally
+be exported as an 8-bit PGM preview normalized by the map maximum.
 
 All writes go through a temp-file-then-rename so readers never observe a
 partially written artifact. Each write uses its own randomly named temp file
@@ -42,6 +42,7 @@ from .core import (
     FormatError,
     MosaicImage,
     SfaPattern,
+    ShapeError,
     SpectralCube,
     ValidationError,
     _as_format_error,
@@ -50,7 +51,6 @@ from .core import (
     _json_str,
     validate_cube,
 )
-from .freqsel import FrequencyVariationMap
 
 __all__ = [
     "CubeSidecar",
@@ -290,13 +290,16 @@ def write_pgm8(values: np.ndarray, path: str | Path) -> None:
 
 
 def write_fvmap(
-    fv: FrequencyVariationMap, path: str | Path, *, pgm: str | Path | None = None
+    values: np.ndarray, path: str | Path, *, pgm: str | Path | None = None
 ) -> Path:
-    """Write a frequency-variation map as a 1-band cube file, optionally with
-    an 8-bit PGM preview for visual inspection."""
-    stem = write_cube(SpectralCube(fv.values[None].astype(np.float32)), path)
+    """Write a frequency-variation map, an (H, W) array, as a 1-band cube
+    file, optionally with an 8-bit PGM preview for visual inspection."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeError(f"map must be 2-dimensional, got shape {arr.shape}")
+    stem = write_cube(SpectralCube(arr[None].astype(np.float32)), path)
     if pgm is not None:
-        write_pgm8(fv.values, pgm)
+        write_pgm8(arr, pgm)
     return stem
 
 

@@ -16,9 +16,10 @@ here compares two cubes channel by channel:
        a global gain g still moves every bin by up to |ln g|) and the
        outermost corners (quantization hash),
 
-producing a frequency-variation map. No bin farther than r_high*R_max rows
-or columns from DC survives step 6, so steps 2-5 run only on that box, and
-the blur reads it grown by its radius, gathered from the unshifted spectrum.
+producing a frequency-variation map, a plain read-only (H, W) array. No bin
+farther than r_high*R_max rows or columns from DC survives step 6, so steps
+2-5 run only on that box, and the blur reads it grown by its radius,
+gathered from the unshifted spectrum.
 This is exact, not an approximation: clipping the gather index at the map
 edge is np.pad(mode="edge"), taking it mod the side is fftshift, and a row
 FFT of every row followed by a column FFT of the needed columns is those
@@ -52,7 +53,6 @@ from .core import ShapeError, SpectralCube
 __all__ = [
     "FreqParams",
     "SelectionParams",
-    "FrequencyVariationMap",
     "PatchVerdict",
     "centered_spectrum",
     "log_magnitude",
@@ -126,21 +126,6 @@ class SelectionParams:
     def __post_init__(self) -> None:
         _check_real("t_var", self.t_var, self.t_var >= 0, ">= 0")
         _check_whole("t_cnt", self.t_cnt, 0)
-
-
-@dataclass(frozen=True)
-class FrequencyVariationMap:
-    """Non-negative per-bin disparity map of shape (H, W), whose DC bin
-    always sits at (H//2, W//2)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"map must be 2-dimensional, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
 
 
 @dataclass(frozen=True)
@@ -242,11 +227,12 @@ def _box_source(n: int, reach: int, radius: int) -> tuple[int, int, np.ndarray]:
 
 def frequency_variation_map(
     c1: SpectralCube, c2: SpectralCube, params: FreqParams | None = None
-) -> FrequencyVariationMap:
+) -> np.ndarray:
     """Build the bandpassed channel-max spectral disparity map of two cubes.
 
-    Symmetric in (c1, c2). Identical inputs produce the exact zero map, and
-    every nonzero output bin lies inside the annulus.
+    Returns a read-only, C-contiguous float64 (H, W) array with the DC bin
+    at (H//2, W//2). Symmetric in (c1, c2). Identical inputs produce the
+    exact zero map, and every nonzero output bin lies inside the annulus.
     """
     params = params or FreqParams()
     if c1.data.shape != c2.data.shape:
@@ -288,16 +274,17 @@ def frequency_variation_map(
     keep = (dist >= params.r_low * r_max) & (dist <= r_out)
     out = np.zeros((h, w))
     out[top : bottom + 1, left : right + 1] = np.where(keep, acc, 0.0)
-    return FrequencyVariationMap(out)
+    out.flags.writeable = False
+    return out
 
 
 def classify_patch(
-    fvmap: FrequencyVariationMap, params: SelectionParams | None = None
+    fvmap: np.ndarray, params: SelectionParams | None = None
 ) -> PatchVerdict:
-    """Count bins strictly above t_var; hard iff that count strictly exceeds
-    t_cnt (a count exactly equal to t_cnt is NOT hard)."""
+    """Count map bins (any array-like) strictly above t_var; hard iff that
+    count strictly exceeds t_cnt (a count exactly equal to t_cnt is NOT hard)."""
     params = params or SelectionParams()
-    count = int((fvmap.values > params.t_var).sum())
+    count = int((np.asarray(fvmap, dtype=np.float64) > params.t_var).sum())
     return PatchVerdict(count=count, is_hard=count > params.t_cnt)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from specmosaic import (
-    FrequencyVariationMap,
     MosaicImage,
     SelectionParams,
     SfaPattern,
@@ -358,10 +357,7 @@ def test_criterion_5_dataset_pipeline(pipeline_run, criterion):
 def test_criterion_6_threshold_monotonicity(criterion):
     with criterion(6, "selection threshold monotonicity"):
         rng = np.random.default_rng(6)
-        maps = [
-            FrequencyVariationMap(rng.exponential(1.0, (16, 16)))
-            for _ in range(200)
-        ]
+        maps = [rng.exponential(1.0, (16, 16)) for _ in range(200)]
         # count is non-increasing in the intensity threshold
         for fv in maps:
             tvars = np.sort(rng.uniform(0.0, 4.0, 5))

@@ -357,19 +357,6 @@ def test_pairs_stride_without_patch_rejected(tmp_path):
         make_pseudo_pairs([], pattern, tmp_path / "ds", stride=8)
 
 
-def test_pairs_duplicate_sources_rejected(tmp_path):
-    rng = np.random.default_rng(80)
-    pattern = SfaPattern.row_major(2)
-    a = write_cube(_rand_cube(rng, 4, 8, 8), tmp_path / "a" / "same")
-    b = write_cube(_rand_cube(rng, 4, 8, 8), tmp_path / "b" / "same")
-    want = (f"sources {tmp_path / 'a' / 'same'} and {tmp_path / 'b' / 'same'} "
-            "both write records named same_identity_*")
-    with pytest.raises(FormatError) as info:
-        make_pseudo_pairs([a, b], pattern, tmp_path / "ds")
-    assert str(info.value) == want
-    assert not (tmp_path / "ds").exists()
-
-
 def test_pairs_equal_source_names_collide(tmp_path):
     # Both sources would write same_identity_*, so the stem check names them.
     rng = np.random.default_rng(89)

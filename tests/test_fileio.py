@@ -15,10 +15,10 @@ from specmosaic import (
     FormatError,
     MosaicImage,
     SfaPattern,
+    ShapeError,
     SpectralCube,
     ValidationError,
 )
-from specmosaic.freqsel import FrequencyVariationMap
 from specmosaic.fileio import (
     CubeSidecar,
     _atomic_write_bytes,
@@ -341,12 +341,19 @@ def test_pgm8_zero_map_is_black(tmp_path):
 
 def test_fvmap_export(tmp_path):
     values = np.array([[0.0, 1.5], [3.0, 0.5]])
-    fv = FrequencyVariationMap(values)
-    stem = write_fvmap(fv, tmp_path / "fv", pgm=tmp_path / "fv.pgm")
+    stem = write_fvmap(values, tmp_path / "fv", pgm=tmp_path / "fv.pgm")
     cube = read_cube(stem)
     assert cube.bands == 1
     assert np.array_equal(cube.data[0], values.astype(np.float32))
     assert (tmp_path / "fv.pgm").exists()
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4,)])
+def test_fvmap_export_rejects_non_2d(tmp_path, shape):
+    msg = re.escape(f"map must be 2-dimensional, got shape {shape}")
+    with pytest.raises(ShapeError, match=f"^{msg}$"):
+        write_fvmap(np.zeros(shape), tmp_path / "fv", pgm=tmp_path / "fv.pgm")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------- pattern specs

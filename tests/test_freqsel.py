@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from specmosaic import (
     FreqParams,
-    FrequencyVariationMap,
     SelectionParams,
     ShapeError,
     SpectralCube,
@@ -304,7 +303,7 @@ def _cube_pair(bands, h, w, seed):
 def test_zero_law_identical_cubes(bands, h, w, seed):
     a, _ = _cube_pair(bands, h, w, seed)
     fv = frequency_variation_map(a, SpectralCube(a.data.copy()))
-    assert fv.values.tobytes() == np.zeros((h, w)).tobytes()
+    assert fv.tobytes() == np.zeros((h, w)).tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -314,8 +313,8 @@ def test_zero_law_identical_cubes(bands, h, w, seed):
 @example(bands=1, h=11, w=12, seed=1)
 def test_symmetry_bit_exact(bands, h, w, seed):
     a, b = _cube_pair(bands, h, w, seed)
-    ab = frequency_variation_map(a, b).values
-    assert ab.tobytes() == frequency_variation_map(b, a).values.tobytes()
+    ab = frequency_variation_map(a, b)
+    assert ab.tobytes() == frequency_variation_map(b, a).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -332,7 +331,7 @@ def test_global_gain_bounds_map_by_log_gain(bands, h, w, seed, g, t_var):
     fv = frequency_variation_map(a, scaled)
     bound = abs(np.log(g))
     slack = bound + 8 * np.spacing(bound)  # rounding of the logs and the blur
-    assert fv.values.max() <= slack
+    assert fv.max() <= slack
     if t_var >= slack:  # no gain flags a bin it cannot reach
         assert classify_patch(fv, SelectionParams(t_var=t_var, t_cnt=0)).count == 0
 
@@ -372,7 +371,7 @@ def test_per_band_offset_stays_out_of_an_annulus_beyond_the_blur(
     )
     fv = frequency_variation_map(SpectralCube(a), SpectralCube(b), params)
     assert classify_patch(fv).count == 0
-    assert fv.values.max() <= 1e-3
+    assert fv.max() <= 1e-3
 
 
 def _parent_recipe_map(c1, c2, params):
@@ -433,7 +432,7 @@ def test_map_equals_parent_per_band_recipe_bytewise(
         epsilon=epsilon, blur_sigma=sigma, blur_radius=radius, r_low=r_low, r_high=r_high
     )
     with np.errstate(invalid="ignore"):  # inf - inf in a spectrum
-        got = frequency_variation_map(a, b, params).values
+        got = frequency_variation_map(a, b, params)
         want = _parent_recipe_map(a, b, params)
     assert same_bytes_and_nans(got, want)
     # A non-finite sample reaches every bin through both FFT passes.
@@ -480,8 +479,8 @@ def test_bandpass_support():
     params = FreqParams()
     fv = frequency_variation_map(a, b, params)
     keep = _annulus_mask(13, 17, params.r_low, params.r_high)
-    assert not fv.values[~keep].any()
-    assert fv.values[keep].any()  # random cubes do differ in-band
+    assert not fv[~keep].any()
+    assert fv[keep].any()  # random cubes do differ in-band
 
 
 def test_channel_max_dominance():
@@ -495,14 +494,14 @@ def test_channel_max_dominance():
         m1 = log_magnitude(centered_spectrum(a.data[k]), params.epsilon)
         m2 = log_magnitude(centered_spectrum(b.data[k]), params.epsilon)
         r = gaussian_blur(np.abs(m1 - m2), params.blur_sigma, params.blur_radius)
-        assert np.all(fv.values[keep] >= r[keep])
+        assert np.all(fv[keep] >= r[keep])
 
 
 def test_global_brightness_shift_removed_by_bandpass():
     c1 = _const_cube([0.4, 0.6], 128, 128)
     c2 = SpectralCube((c1.data.astype(np.float64) + 0.1).astype(np.float32))
     fv = frequency_variation_map(c1, c2)
-    assert fv.values.max() < 1e-3
+    assert fv.max() < 1e-3
 
 
 def test_sinusoid_peaks_at_quarter_frequency():
@@ -514,9 +513,9 @@ def test_sinusoid_peaks_at_quarter_frequency():
     c2 = SpectralCube(contaminated.astype(np.float32))
     fv = frequency_variation_map(c1, c2)
     # normalized frequency 0.25 along rows -> bins 16 above/below center
-    peak = np.unravel_index(np.argmax(fv.values), fv.values.shape)
+    peak = np.unravel_index(np.argmax(fv), fv.shape)
     assert peak in ((16, 32), (48, 32))
-    assert abs(fv.values[16, 32] - fv.values[48, 32]) < 1e-12
+    assert abs(fv[16, 32] - fv[48, 32]) < 1e-12
 
 
 def test_shape_mismatch_rejected():
@@ -531,16 +530,21 @@ def test_gaussian_blur_rejects_non_2d():
         gaussian_blur(np.zeros((2, 4, 4)), 1.5, 1)
 
 
-def test_map_type_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        FrequencyVariationMap(np.zeros((2, 2, 2)))
+def test_map_is_a_read_only_2d_float64_array():
+    rng = np.random.default_rng(5)
+    a = SpectralCube(rng.random((3, 12, 10)).astype(np.float32))
+    b = SpectralCube(rng.random((3, 12, 10)).astype(np.float32))
+    fv = frequency_variation_map(a, b)
+    assert type(fv) is np.ndarray
+    assert fv.dtype == np.float64 and fv.shape == (12, 10)
+    assert fv.flags.c_contiguous and not fv.flags.writeable
 
 
 # ------------------------------------------------------- classification
 
 
 def test_all_zero_map_not_hard():
-    fv = FrequencyVariationMap(np.zeros((8, 8)))
+    fv = np.zeros((8, 8))
     v = classify_patch(fv, SelectionParams(t_var=0.5, t_cnt=0))
     assert v.count == 0 and not v.is_hard
 
@@ -548,11 +552,11 @@ def test_all_zero_map_not_hard():
 def test_strict_count_and_threshold():
     values = np.zeros((10, 10))
     values.ravel()[:60] = 2.0
-    fv = FrequencyVariationMap(values)
+    fv = values
     assert classify_patch(fv, SelectionParams(1.0, 50)).is_hard
     assert not classify_patch(fv, SelectionParams(1.0, 60)).is_hard  # 60 > 60 fails
     # bins exactly at t_var do not count (strict >)
-    at_threshold = FrequencyVariationMap(np.full((4, 4), 1.0))
+    at_threshold = np.full((4, 4), 1.0)
     assert classify_patch(at_threshold, SelectionParams(1.0, 0)).count == 0
 
 
@@ -571,7 +575,7 @@ _GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
 @example(values=np.array([[1.0, 1.0], [2.0, 0.0]]), t_vars=[1.0, 1.0], t_cnts=[1, 1])
 @example(values=np.array([[1.0, 2.0]]), t_vars=[0.5, 1.0], t_cnts=[1, 1])
 def test_selection_is_monotone_in_both_thresholds(values, t_vars, t_cnts):
-    fv = FrequencyVariationMap(values)
+    fv = values
     low, high = (SelectionParams(tv, tc) for tv, tc in zip(t_vars, t_cnts))
     v_low, v_high = classify_patch(fv, low), classify_patch(fv, high)
     assert v_high.count <= v_low.count

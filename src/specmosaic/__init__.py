@@ -15,7 +15,7 @@ The package is organized by pipeline stage:
 * :mod:`specmosaic.dataset` — pseudo-paired dataset construction, manifests,
   and hard-subset filtering.
 * :mod:`specmosaic.fileio` — the bit-exact cube/mosaic container, PGM
-  ingestion/export, and pattern files.
+  export, and pattern files.
 * :mod:`specmosaic.cli` — the ``specmosaic`` command.
 """
 

@@ -120,7 +120,8 @@ def _fork_map(fn: Callable, seq: Sequence, n: int) -> tuple[list, dict[int, Base
                     # A sibling whose task pipe stays open here would never exit.
                     for fd in (task_w, reply_r, *workers, *tasks.values()):
                         os.close(fd)
-                    _serve(fn, seq, open(task_r, "rb"), open(reply_w, "wb"))
+                    with open(task_r, "rb") as task_in, open(reply_w, "wb") as reply_out:
+                        _serve(fn, seq, task_in, reply_out)
                     status = 0
                 finally:
                     try:

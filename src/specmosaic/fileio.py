@@ -6,9 +6,7 @@ each band, and ``<stem>.json`` is a sidecar describing the geometry plus
 optional filter-pattern and wavelength metadata. The pair is trivial to parse
 from any language and round-trips bit-identically.
 
-Mosaics reuse the same container with ``bands = 1``. Real 16-bit camera
-frames come in through binary PGM (``P5`` / maxval 65535, most significant
-byte first), normalized to [0, 1] by dividing by 65535. A frequency-variation
+Mosaics reuse the same container with ``bands = 1``. A frequency-variation
 map, a plain (H, W) array, is written as a 1-band cube and can additionally
 be exported as an 8-bit PGM preview normalized by the map maximum.
 
@@ -59,7 +57,6 @@ __all__ = [
     "read_sidecar",
     "write_mosaic",
     "read_mosaic",
-    "read_pgm16",
     "write_pgm8",
     "write_fvmap",
     "load_pattern_spec",
@@ -234,44 +231,6 @@ def read_mosaic(path: str | Path) -> MosaicImage:
     if cube.bands != 1:
         raise FormatError(f"{cube_stem(path)} has {cube.bands} bands; a mosaic has 1")
     return MosaicImage(cube.data[0])
-
-
-def read_pgm16(path: str | Path) -> MosaicImage:
-    """Ingest a binary 16-bit grayscale PGM frame, normalized by 65535."""
-    with _as_format_error(f"PGM {path}"):
-        raw = Path(path).read_bytes()
-    tokens: list[bytes] = []
-    i = 0
-    while len(tokens) < 4:
-        while i < len(raw) and raw[i : i + 1].isspace():
-            i += 1
-        if i < len(raw) and raw[i : i + 1] == b"#":
-            while i < len(raw) and raw[i : i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < len(raw) and not raw[j : j + 1].isspace():
-            j += 1
-        if j == i:
-            raise FormatError(f"{path}: truncated PGM header")
-        tokens.append(raw[i:j])
-        i = j
-    if tokens[0] != b"P5":
-        raise FormatError(f"{path}: expected binary PGM magic P5, got {tokens[0]!r}")
-    with _as_format_error(f"PGM header in {path}"):
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    if maxval != 65535:
-        raise FormatError(f"{path}: unsupported depth maxval={maxval} (need 65535)")
-    i += 1  # exactly one whitespace byte separates maxval from the payload
-    payload = raw[i:]
-    expected = width * height * 2
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}"
-        )
-    with _as_format_error(f"PGM {path}"):
-        samples = np.frombuffer(payload, dtype=">u2").reshape(height, width)
-        return MosaicImage((samples.astype(np.float64) / 65535.0).astype(np.float32))
 
 
 def write_pgm8(values: np.ndarray, path: str | Path) -> None:

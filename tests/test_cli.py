@@ -482,6 +482,29 @@ def test_stages_fork_workers_with_no_other_thread_alive(tmp_path, monkeypatch):
         assert "fork()" not in proc.stderr
 
 
+def test_stages_warn_alike_at_one_and_two_workers(tmp_path, monkeypatch):
+    # Development mode shows ResourceWarning, so a file that a forked worker
+    # leaves unclosed prints "unclosed file" on stderr. Warning filters in
+    # the test process cannot catch it: it comes from the forked child.
+    src = tmp_path / "src"
+    for i in range(3):
+        _write_const_cube(src / f"c{i:02d}", [0.3, 0.5, 0.6, 0.8], sine_band=i % 2)
+    stderr = {}
+    for n in (1, 2):
+        monkeypatch.setenv("SPECMOSAIC_THREADS", str(n))
+        out = tmp_path / f"w{n}"
+        stderr[n] = []
+        for argv in (
+            ("pairs", src, "--pattern", "2x2", "-o", out),
+            ("select-hard", out / "manifest.jsonl", "-o", out / "hard.jsonl"),
+            ("metrics", out / "manifest.jsonl", "-o", out / "report.json"),
+        ):
+            proc = _run_python("-X", "dev", "-m", "specmosaic.cli", *argv)
+            assert proc.returncode == 0, proc.stderr
+            stderr[n].append(proc.stderr.replace(str(out), "<out>"))
+    assert stderr[2] == stderr[1]
+
+
 needs_glibc = pytest.mark.skipif(
     platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds"
 )

@@ -26,7 +26,6 @@ from specmosaic.fileio import (
     load_pattern_spec,
     read_cube,
     read_mosaic,
-    read_pgm16,
     read_sidecar,
     write_cube,
     write_fvmap,
@@ -274,55 +273,6 @@ def test_read_mosaic_rejects_multiband(tmp_path):
 # ------------------------------------------------------------------- PGM
 
 
-def _pgm16_bytes(width, height, samples, header=None):
-    head = header if header is not None else f"P5\n{width} {height}\n65535\n"
-    return head.encode("ascii") + struct.pack(f">{len(samples)}H", *samples)
-
-
-def test_pgm16_normalization_endpoints(tmp_path):
-    path = tmp_path / "frame.pgm"
-    path.write_bytes(_pgm16_bytes(3, 1, [0, 65535, 32768]))
-    m = read_pgm16(path)
-    assert m.data.shape == (1, 3)
-    assert m.data[0, 0] == 0.0
-    assert m.data[0, 1] == 1.0
-    assert m.data[0, 2] == np.float32(32768.0 / 65535.0)
-
-
-def test_pgm16_is_big_endian(tmp_path):
-    path = tmp_path / "be.pgm"
-    # one sample: bytes 0x01 0x00 must decode as 256, not 1
-    path.write_bytes(b"P5\n1 1\n65535\n" + bytes([0x01, 0x00]))
-    m = read_pgm16(path)
-    assert m.data[0, 0] == np.float32(256.0 / 65535.0)
-
-
-def test_pgm16_header_comments_and_whitespace(tmp_path):
-    path = tmp_path / "c.pgm"
-    head = "P5\n# a camera comment\n2 1\n# another\n65535\n"
-    path.write_bytes(_pgm16_bytes(2, 1, [7, 8], header=head))
-    m = read_pgm16(path)
-    assert m.data.shape == (1, 2)
-
-
-def test_pgm16_rejects_wrong_magic_and_depth(tmp_path):
-    p2 = tmp_path / "ascii.pgm"
-    p2.write_bytes(b"P2\n1 1\n65535\n0\n")
-    with pytest.raises(FormatError, match="P5"):
-        read_pgm16(p2)
-    p8 = tmp_path / "8bit.pgm"
-    p8.write_bytes(b"P5\n1 1\n255\n\x00")
-    with pytest.raises(FormatError, match="65535"):
-        read_pgm16(p8)
-
-
-def test_pgm16_rejects_truncated_payload(tmp_path):
-    path = tmp_path / "short.pgm"
-    path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 6)
-    with pytest.raises(FormatError, match="expected 8"):
-        read_pgm16(path)
-
-
 def test_pgm8_export_normalizes_by_peak(tmp_path):
     path = tmp_path / "v.pgm"
     write_pgm8(np.array([[0.0, 2.0], [1.0, 4.0]]), path)
@@ -415,28 +365,6 @@ def _only_format_error(fn, *args):
 
 
 @settings(max_examples=100, deadline=None)
-@given(raw=st.binary(max_size=64))
-@example(raw=b"P5\n0 0\n65535\n")
-@example(raw=b"P5\n-1 -2\n65535\n\x00\x00\x00\x00")
-def test_fuzz_pgm16_random_bytes(tmp_path_factory, raw):
-    path = tmp_path_factory.mktemp("pgm") / "f.pgm"
-    path.write_bytes(raw)
-    _only_format_error(read_pgm16, path)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    width=st.integers(-2, 4),
-    height=st.integers(-2, 4),
-    payload=st.binary(max_size=40),
-)
-def test_fuzz_pgm16_valid_header_random_payload(tmp_path_factory, width, height, payload):
-    path = tmp_path_factory.mktemp("pgm") / "f.pgm"
-    path.write_bytes(f"P5\n{width} {height}\n65535\n".encode("ascii") + payload)
-    _only_format_error(read_pgm16, path)
-
-
-@settings(max_examples=100, deadline=None)
 @given(doc=_JSON)
 @example(doc={"height": True, "width": 1, "bands": 1})
 @example(doc={"height": 1, "width": 1, "bands": 1, "pattern": {"period": 1e400}})
@@ -478,15 +406,50 @@ def test_fuzz_load_pattern_spec(tmp_path_factory, raw):
     _only_format_error(load_pattern_spec, str(path))
 
 
+# Little-endian float32 words for quiet NaN, signalling NaN, +Inf and -Inf.
+_NON_FINITE_WORDS = (b"\x00\x00\xc0\x7f", b"\x01\x00\x80\x7f", b"\x00\x00\x80\x7f",
+                     b"\x00\x00\x80\xff")
+
+
+@st.composite
+def _cube_payloads(draw):
+    """A (bands, height, width) shape and a payload of about that many
+    float32 words, some NaN or Inf, cut or padded by up to 3 bytes."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    n = shape[0] * shape[1] * shape[2]
+    word = st.binary(min_size=4, max_size=4) | st.sampled_from(_NON_FINITE_WORDS)
+    words = draw(st.lists(word, min_size=max(n - 2, 0), max_size=n + 2))
+    return shape, b"".join(words) + draw(st.binary(max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_cube_payloads())
+@example(case=((1, 1, 2), b"\x00\x00\x80\x3f" + _NON_FINITE_WORDS[1]))
+@example(case=((1, 1, 2), b"\x00\x00\x80\x3f" * 2 + b"\x00"))
+@example(case=((2, 1, 1), b"\x00\x00\x00\x80" + b"\x01\x00\x00\x00"))  # -0.0, subnormal
+def test_fuzz_read_cube_payload(tmp_path_factory, case):
+    (bands, height, width), payload = case
+    stem = tmp_path_factory.mktemp("cube") / "c"
+    stem.with_suffix(".json").write_text(
+        json.dumps({"height": height, "width": width, "bands": bands})
+    )
+    stem.with_suffix(".bsq").write_bytes(payload)
+    valid = (len(payload) == 4 * bands * height * width
+             and np.isfinite(np.frombuffer(payload, "<f4")).all())
+    try:
+        cube = read_cube(stem)
+    except (FormatError, ValidationError):
+        assert not valid
+        return
+    assert valid
+    assert cube.data.shape == (bands, height, width)
+    assert cube.data.astype("<f4").tobytes() == payload
+
+
 def test_unreadable_inputs_fail_with_format_error(tmp_path):
     (tmp_path / "dir.json").mkdir()
     with pytest.raises(FormatError, match="ill-formed sidecar"):
         read_sidecar(tmp_path / "dir")
-    with pytest.raises(FormatError, match="missing PGM"):
-        read_pgm16(tmp_path / "none.pgm")
-    (tmp_path / "empty.pgm").write_bytes(b"P5\n0 0\n65535\n")
-    with pytest.raises(FormatError, match="empty.pgm"):
-        read_pgm16(tmp_path / "empty.pgm")
 
 
 @pytest.mark.parametrize(

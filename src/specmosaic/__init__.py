@@ -20,80 +20,12 @@ The package is organized by pipeline stage:
 """
 
 from ._version import TOOL_VERSION, __version__
-from .core import (
-    D4_OPS,
-    AlignmentError,
-    BoundsError,
-    DegenerateInputError,
-    FormatError,
-    MosaicImage,
-    PatchOrigin,
-    SfaPattern,
-    ShapeError,
-    SpecmosaicError,
-    SpectralCube,
-    ValidationError,
-    crop_aligned,
-    transform_d4,
-    validate_cube,
-)
-from .demosaic import wb_bilinear
-from .freqsel import (
-    FreqParams,
-    PatchVerdict,
-    SelectionParams,
-    centered_spectrum,
-    classify_patch,
-    count_distribution,
-    frequency_variation_map,
-    gaussian_blur,
-    log_magnitude,
-    select_hard,
-)
-from .metrics import ImageMetrics, MetricReport, evaluate_dataset, psnr, sam, ssim
-from .sfa import mosaic, remosaic, sparse_expand
+from . import core, demosaic, freqsel, metrics, sfa
+from .core import *
+from .demosaic import *
+from .freqsel import *
+from .metrics import *
+from .sfa import *
 
-__all__ = [
-    "__version__",
-    "TOOL_VERSION",
-    # core
-    "SpecmosaicError",
-    "ShapeError",
-    "AlignmentError",
-    "BoundsError",
-    "ValidationError",
-    "FormatError",
-    "DegenerateInputError",
-    "SpectralCube",
-    "MosaicImage",
-    "SfaPattern",
-    "PatchOrigin",
-    "validate_cube",
-    "crop_aligned",
-    "transform_d4",
-    "D4_OPS",
-    # sfa
-    "mosaic",
-    "remosaic",
-    "sparse_expand",
-    # demosaic
-    "wb_bilinear",
-    # freqsel
-    "FreqParams",
-    "SelectionParams",
-    "PatchVerdict",
-    "centered_spectrum",
-    "log_magnitude",
-    "gaussian_blur",
-    "frequency_variation_map",
-    "classify_patch",
-    "select_hard",
-    "count_distribution",
-    # metrics
-    "psnr",
-    "ssim",
-    "sam",
-    "evaluate_dataset",
-    "ImageMetrics",
-    "MetricReport",
-]
+__all__ = ["__version__", "TOOL_VERSION", *core.__all__, *sfa.__all__, *demosaic.__all__,
+           *freqsel.__all__, *metrics.__all__]

@@ -111,9 +111,16 @@ def _fork_map(fn: Callable, seq: Sequence, n: int) -> tuple[list, dict[int, Base
     _flush_std_streams()  # else each worker would write the caller's buffered output again
     try:
         for _ in range(n):
-            task_r, task_w = os.pipe()
-            reply_r, reply_w = os.pipe()
-            pid = os.fork()
+            fds: list[int] = []  # this worker's pipes, closed here if it cannot start
+            try:
+                fds += os.pipe()
+                fds += os.pipe()
+                pid = os.fork()
+            except BaseException:
+                for fd in fds:
+                    os.close(fd)
+                raise
+            task_r, task_w, reply_r, reply_w = fds
             if pid == 0:  # the worker: it never returns into the caller's stack
                 status = 1
                 try:

@@ -42,7 +42,6 @@ __all__ = [
     "crop_aligned",
     "transform_d4",
     "D4_OPS",
-    "DTYPE",
 ]
 
 DTYPE = np.float32

@@ -39,3 +39,14 @@ def test_every_traced_name_resolves(monkeypatch):
 def test_every_all_entry_resolves(modname):
     mod = importlib.import_module(modname)
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+def test_star_imported_names_are_declared_once():
+    # ``specmosaic`` star-imports these modules in turn, so a name in two of
+    # them, or one equal to a version name, would silently rebind the earlier.
+    lists = [importlib.import_module(f"specmosaic.{m}").__all__
+             for m in ("core", "sfa", "demosaic", "freqsel", "metrics")]
+    names = [n for names in lists for n in names]
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert {"__version__", "TOOL_VERSION"}.isdisjoint(names)
+    assert len(specmosaic.__all__) == len(set(specmosaic.__all__))

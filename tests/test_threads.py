@@ -1,3 +1,4 @@
+import errno
 import os
 import pickle
 import signal
@@ -168,6 +169,31 @@ def test_pool_reports_a_worker_that_dies_mid_item(monkeypatch):
         ChildProcessError, match=r"^item 3: worker exited with status 3 before replying$"
     ):
         parallel_map(fn, range(8))
+    _assert_no_children()
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists Linux fds")
+@pytest.mark.parametrize(
+    "call, nth, code", [("fork", 2, errno.EAGAIN), ("pipe", 4, errno.EMFILE)], ids=["fork2", "pipe4"]
+)
+def test_pool_closes_its_pipes_when_a_worker_cannot_start(monkeypatch, call, nth, code):
+    # The second worker cannot start: its fork, or its reply pipe, fails.
+    real, calls = getattr(os, call), []
+
+    def refuse_nth(*args):
+        calls.append(args)
+        if len(calls) == nth:
+            raise OSError(code, os.strerror(code))
+        return real(*args)
+
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "2")
+    before = sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, call, refuse_nth)
+    with _within(10), pytest.raises(OSError) as raised:
+        parallel_map(abs, range(8))
+    assert raised.value.errno == code
+    assert sorted(os.listdir("/proc/self/fd")) == before
     _assert_no_children()
 
 

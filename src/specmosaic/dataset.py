@@ -63,7 +63,7 @@ from .fileio import (
     _atomic_write_bytes,
 )
 from .freqsel import FreqParams, SelectionParams, count_distribution, select_hard
-from .sfa import _check_bands, remosaic
+from .sfa import _check_bands, mosaic
 
 __all__ = [
     "PairRecord",
@@ -280,7 +280,7 @@ def make_pseudo_pairs(
             stem = _patch_stem(f"{source_id}_{aug}", origin)
             cube_name, mosaic_name = stem + "_cube", stem + "_mosaic"
             write_cube(label, out / cube_name, pattern=pattern, wavelengths_nm=wavelengths)
-            write_mosaic(remosaic(label, pattern), out / mosaic_name, pattern=pattern)
+            write_mosaic(mosaic(label, pattern), out / mosaic_name, pattern=pattern)
             records.append(
                 PairRecord(
                     mosaic=mosaic_name + ".bsq",

@@ -2,10 +2,10 @@
 
 A spectral filter array tiles the sensor with a period x period pattern of
 narrowband filters, so each pixel records exactly one band. ``mosaic``
-simulates that capture from a full cube; ``remosaic`` is the same operation
-applied to a reconstructed or generated cube to manufacture an input that is
-perfectly aligned with it; ``sparse_expand`` scatters a mosaic back into a
-cube that is zero except at each band's own lattice sites.
+simulates that capture from a full cube; ``remosaic`` is ``mosaic`` itself,
+under the paper's name for sampling a reconstructed or generated cube into an
+input exactly aligned with it; ``sparse_expand`` scatters a mosaic back into
+a cube that is zero except at each band's own lattice sites.
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ def mosaic(cube: SpectralCube, pattern: SfaPattern) -> MosaicImage:
     return MosaicImage(np.take_along_axis(cube.data, idx, axis=0)[0])
 
 
-def remosaic(pseudo_cube: SpectralCube, pattern: SfaPattern) -> MosaicImage:
-    """Simulate filter-array capture of a cube that did not come from this
-    sensor (a reconstruction or generated label), producing the mosaic that
-    is exactly aligned with it. Definitionally identical to :func:`mosaic`."""
-    return mosaic(pseudo_cube, pattern)
+#: The paper's name for ``mosaic`` of a reconstructed or generated cube.
+remosaic = mosaic
 
 
 def sparse_expand(mosaic_img: MosaicImage, pattern: SfaPattern) -> SpectralCube:

@@ -182,6 +182,24 @@ def test_pairs_empty_dir_fails(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_pairs_given_a_file_exits_1(tmp_path, capsys):
+    cube = _write_const_cube(tmp_path / "c", [0.3, 0.5, 0.6, 0.8], h=8, w=8).with_suffix(".bsq")
+    code, out, err = run(capsys, "pairs", cube, "--pattern", "2x2", "-o", tmp_path / "ds")
+    assert (code, out, err) == (1, "", f"error: {cube} is not a directory\n")
+
+
+@pytest.mark.parametrize("command", ["select-hard", "metrics"])
+def test_stages_name_a_cube_sidecar_without_pattern(tmp_path, capsys, command):
+    _write_const_cube(tmp_path / "src" / "c00", [0.3, 0.5, 0.6, 0.8], h=16, w=16)
+    ds = tmp_path / "ds"
+    assert run(capsys, "pairs", tmp_path / "src", "--pattern", "2x2", "-o", ds)[0] == 0
+    rec = read_manifest(ds / "manifest.jsonl")[0]
+    write_cube(read_cube(ds / rec.cube), ds / rec.cube)  # the same payload, no pattern
+    code, out, err = run(capsys, command, ds / "manifest.jsonl", "-o", tmp_path / "out")
+    assert (code, out) == (1, "")
+    assert err == f"error: record 0: cube sidecar for {rec.cube} carries no pattern\n"
+
+
 def _missing_files_manifest(tmp_path):
     ds = tmp_path / "ds"
     ds.mkdir()

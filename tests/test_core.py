@@ -100,6 +100,11 @@ class TestSfaPattern:
         with pytest.raises(ShapeError, match=r"^pattern period must be >= 1$"):
             SfaPattern(np.zeros((0, 0), dtype=np.int64))
 
+    def test_row_major_rejects_a_negative_period(self):
+        # -2 would otherwise reach reshape; 0 fails in __post_init__ as well.
+        with pytest.raises(ShapeError, match=r"^pattern period must be >= 1$"):
+            SfaPattern.row_major(-2)
+
     @pytest.mark.parametrize("period, band_at", [(-1, [0]), (0, [])])
     def test_from_dict_names_the_period_rule(self, period, band_at):
         # The entry count matches period**2 here, so only the period is wrong.

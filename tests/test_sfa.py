@@ -92,6 +92,7 @@ def test_remosaic_is_mosaic():
     rng = np.random.default_rng(22)
     cube = SpectralCube(rng.uniform(0, 1, (9, 9, 9)).astype(np.float32))
     pat = SfaPattern.row_major(3)
+    assert remosaic is mosaic
     assert np.array_equal(remosaic(cube, pat).data, mosaic(cube, pat).data)
 
 

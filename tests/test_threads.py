@@ -24,6 +24,7 @@ from specmosaic import (
     select_hard,
     wb_bilinear,
 )
+from specmosaic import _threads
 from specmosaic._threads import map_records, parallel_map, worker_count
 
 
@@ -38,6 +39,13 @@ def test_worker_count_capped_at_usable_cpus(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("SPECMOSAIC_THREADS", "0")
     assert worker_count() == _usable_cpus()
+
+
+@pytest.mark.parametrize("cpu_count, want", [(3, 3), (None, 1)])
+def test_usable_cpus_without_affinity_falls_back_to_cpu_count(monkeypatch, cpu_count, want):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert _threads._usable_cpus() == want
 
 
 @pytest.mark.parametrize("raw", ["-1", "two", "1.5"])

@@ -199,28 +199,22 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     return results
 
 
-def _named(fn: Callable[[T], R], what: str | Callable[[T], str], item: tuple[int, T]) -> R:
+def _named(fn: Callable[[T], R], what: str, item: tuple[int, T]) -> R:
     """``fn(x)`` for an ``(i, x)`` item, naming the item if it fails.
 
     A :class:`SpecmosaicError` from ``fn`` is re-raised as the same type
     prefixed with ``"{what} {i}: "``; an ``OSError`` becomes a
-    :class:`FormatError` with that prefix; ``what`` may be a function of the
-    failing item.
+    :class:`FormatError` with that prefix.
     """
     i, x = item
     try:
         return fn(x)
     except (SpecmosaicError, OSError) as e:
-        word = what if isinstance(what, str) else what(x)
         kind = type(e) if isinstance(e, SpecmosaicError) else FormatError
-        raise kind(f"{word} {i}: {e}") from e
+        raise kind(f"{what} {i}: {e}") from e
 
 
-def map_records(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    what: str | Callable[[T], str] = "record",
-) -> list[R]:
+def map_records(fn: Callable[[T], R], items: Iterable[T], what: str = "record") -> list[R]:
     """:func:`parallel_map` of :func:`_named`, which names the failing item."""
     return parallel_map(lambda item: _named(fn, what, item), list(enumerate(items)))
 
@@ -230,7 +224,6 @@ def map_pairs(
 ) -> list[R]:
     """:func:`map_records` of ``fn(a, b)`` over pairs given in memory or as
     loaders. A loader runs in the worker, so the caller holds loaders, not
-    arrays; a failure reads ``record i`` for a loader, ``pair i`` otherwise.
+    arrays; a failure reads ``record i`` for either form.
     """
-    return map_records(lambda x: fn(*(x() if callable(x) else x)), items,
-                       what=lambda x: "record" if callable(x) else "pair")
+    return map_records(lambda x: fn(*(x() if callable(x) else x)), items)

@@ -69,7 +69,8 @@ SIDECAR_SUFFIX = ".json"
 
 def cube_stem(path: str | Path) -> Path:
     """Normalize a cube reference to its stem: ``x``, ``x.bsq`` and
-    ``x.json`` all name the same pair of files."""
+    ``x.json`` all name the same pair of files. Only a final ``.bsq`` or
+    ``.json`` is stripped, so ``x.v2`` is a stem of its own."""
     p = Path(path)
     if p.suffix in (PAYLOAD_SUFFIX, SIDECAR_SUFFIX):
         return p.with_suffix("")
@@ -163,27 +164,29 @@ def write_cube(
     """Write ``<stem>.bsq`` + ``<stem>.json``; returns the stem path. Metadata
     that :func:`read_sidecar` would reject raises before any file is touched."""
     stem = cube_stem(path)
+    side_path = stem.with_name(stem.name + SIDECAR_SUFFIX)
     sidecar = CubeSidecar(
         height=cube.height,
         width=cube.width,
         bands=cube.bands,
         pattern=pattern,
         wavelengths_nm=wavelengths_nm,
-        what=f"sidecar {stem.with_suffix(SIDECAR_SUFFIX)}",
+        what=f"sidecar {side_path}",
     )
     # A byte view, not a copy; len() of the cast view is the byte count.
     payload = memoryview(np.ascontiguousarray(cube.data, dtype="<f4")).cast("B")
     # An old sidecar must not outlive its payload: a write cut after the
     # payload then reads back as a missing sidecar, not a stale one.
-    stem.with_suffix(SIDECAR_SUFFIX).unlink(missing_ok=True)
-    _atomic_write_bytes(stem.with_suffix(PAYLOAD_SUFFIX), payload)
+    side_path.unlink(missing_ok=True)
+    _atomic_write_bytes(stem.with_name(stem.name + PAYLOAD_SUFFIX), payload)
     doc = json.dumps(sidecar.to_dict(), indent=2) + "\n"
-    _atomic_write_bytes(stem.with_suffix(SIDECAR_SUFFIX), doc.encode("utf-8"))
+    _atomic_write_bytes(side_path, doc.encode("utf-8"))
     return stem
 
 
 def read_sidecar(path: str | Path) -> CubeSidecar:
-    side_path = cube_stem(path).with_suffix(SIDECAR_SUFFIX)
+    stem = cube_stem(path)
+    side_path = stem.with_name(stem.name + SIDECAR_SUFFIX)
     what = f"sidecar {side_path}"
     with _as_format_error(what):
         doc = json.loads(side_path.read_text(encoding="utf-8"))
@@ -201,7 +204,7 @@ def read_cube(path: str | Path) -> SpectralCube:
     """
     stem = cube_stem(path)
     side = read_sidecar(stem)
-    payload_path = stem.with_suffix(PAYLOAD_SUFFIX)
+    payload_path = stem.with_name(stem.name + PAYLOAD_SUFFIX)
     with _as_format_error(f"payload {payload_path}"):
         raw = payload_path.read_bytes()
     expected = side.height * side.width * side.bands * 4

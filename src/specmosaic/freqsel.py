@@ -298,8 +298,7 @@ def select_hard(
     those with ``is_hard``.
 
     Each item is a pair or a zero-argument loader of one, called in the
-    worker. A failure aborts the run as ``pair i`` (in memory) or
-    ``record i`` (loader).
+    worker. A failure aborts the run as ``record i``, in either form.
     """
     fparams = fparams or FreqParams()
     sparams = sparams or SelectionParams()

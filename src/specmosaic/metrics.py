@@ -167,7 +167,7 @@ def evaluate_dataset(
 
     Each item is a pair or a zero-argument loader of one, called in the
     worker. Scores keep input order under any ``SPECMOSAIC_THREADS`` cap. A
-    failure aborts the run as ``pair i`` (in memory) or ``record i`` (loader).
+    failure aborts the run as ``record i``, in either form.
     """
 
     def job(recon, ref) -> tuple[float, float, float]:

@@ -63,6 +63,16 @@ def test_mosaic_demosaic_round_trip(tmp_path, capsys):
     assert again.data.tobytes() == m.data.tobytes()
 
 
+def test_mosaic_output_stem_keeps_its_dots(tmp_path, capsys):
+    _write_const_cube(tmp_path / "big", [0.1, 0.4, 0.7, 0.9], h=8, w=8)
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "mosaic", tmp_path / "big.bsq", "--pattern", "2x2",
+                     "-o", out / "frame.v1")
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["frame.v1.bsq", "frame.v1.json"]
+    assert read_mosaic(out / "frame.v1").data.shape == (8, 8)
+
+
 def test_demosaic_constant_is_exact(tmp_path, capsys):
     _write_const_cube(tmp_path / "c", [0.1, 0.4, 0.7, 0.9], h=8, w=8)
     run(capsys, "mosaic", tmp_path / "c.bsq", "--pattern", "2x2", "-o", tmp_path / "m")
@@ -120,6 +130,31 @@ def test_pairs_then_select_hard(tmp_path, capsys):
     assert len(kept) == 1 and kept[0].source == "c01"
     verdicts = json.loads((tmp_path / "hard.jsonl.verdicts.json").read_text())
     assert len(verdicts["verdicts"]) == 3
+
+
+def test_pipeline_keeps_a_dotted_source_apart_from_its_undotted_name(tmp_path, capsys):
+    rng = np.random.default_rng(107)
+    sources = {name: rng.uniform(0, 1, (4, 24, 24)).astype(np.float32)
+               for name in ("scene", "scene.v2")}
+    for name, data in sources.items():
+        write_cube(SpectralCube(data), tmp_path / "src" / name)
+    ds, hard = tmp_path / "ds", tmp_path / "hard.jsonl"
+    code, out, _ = run(capsys, "pairs", tmp_path / "src", "--pattern", "2x2",
+                       "--patch", "12", "12", "-o", ds)
+    assert code == 0 and out.startswith("8 records")
+    records = read_manifest(ds / "manifest.jsonl")
+    assert sorted(p.name for p in ds.glob("*_cube.bsq")) == sorted(r.cube for r in records)
+    assert len({r.cube for r in records}) == 8
+    pattern = SfaPattern.row_major(2)
+    for rec in records:
+        (r, c), cube = rec.origin, read_cube(ds / rec.cube)
+        assert cube.data.tobytes() == sources[rec.source][:, r:r + 12, c:c + 12].tobytes()
+        want = sfa_mosaic(cube, pattern).data.tobytes()
+        assert read_mosaic(ds / rec.mosaic).data.tobytes() == want
+    assert run(capsys, "select-hard", ds / "manifest.jsonl", "-o", hard)[0] == 0
+    kept = read_manifest(hard)
+    assert kept and run(capsys, "metrics", hard, "-o", tmp_path / "r.json")[0] == 0
+    assert len(json.loads((tmp_path / "r.json").read_text())["per_image"]) == len(kept)
 
 
 def test_every_cube_read_goes_through_read_cube(tmp_path, capsys, monkeypatch):
@@ -285,6 +320,21 @@ def test_metrics_pair_list_with_comments(tmp_path, capsys):
     assert report["tool_version"].startswith("specmosaic ")
 
 
+def test_metrics_pair_list_paths_resolve_against_the_working_directory(
+    tmp_path, capsys, monkeypatch
+):
+    lists = tmp_path / "lists"
+    _write_const_cube(lists / "recon", [0.4, 0.6], h=16, w=16)
+    _write_const_cube(lists / "ref", [0.5, 0.5], h=16, w=16)
+    (lists / "pairs.txt").write_text("recon.bsq ref.bsq\n")
+    monkeypatch.chdir(lists)
+    assert run(capsys, "metrics", "pairs.txt", "-o", tmp_path / "a.json")[0] == 0
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "metrics", "lists/pairs.txt", "-o", tmp_path / "b.json")
+    assert code == 1
+    assert err == "error: record 0: missing sidecar recon.json\n"
+
+
 def test_metrics_clamp_flag(tmp_path, capsys):
     ref = _write_const_cube(tmp_path / "ref", [0.5, 0.5], h=16, w=16)
     recon = _write_const_cube(tmp_path / "recon", [1.5, 1.5], h=16, w=16)
@@ -380,6 +430,22 @@ def test_patchify_writes_window_files(tmp_path, capsys):
     ]
     piece = read_cube(out / "img_r00008_c00008")
     assert piece.data.tobytes() == cube.data[:, 8:, 8:].tobytes()
+
+
+def test_patchify_keeps_a_dotted_source_stem(tmp_path, capsys):
+    rng = np.random.default_rng(108)
+    cube = SpectralCube(rng.uniform(0, 1, (4, 8, 8)).astype(np.float32))
+    write_cube(cube, tmp_path / "src" / "scene.v2.bsq")
+    out = tmp_path / "pp"
+    code, msg, _ = run(capsys, "patchify", tmp_path / "src" / "scene.v2.bsq",
+                       "--patch", "4", "4", "--pattern", "2x2", "-o", out)
+    assert code == 0 and msg.startswith("4 patches")
+    origins = [(r, c) for r in (0, 4) for c in (0, 4)]
+    stems = [f"scene.v2_r{r:05d}_c{c:05d}" for r, c in origins]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        stem + ext for stem in stems for ext in (".bsq", ".json"))
+    for (r, c), stem in zip(origins, stems):
+        assert read_cube(out / stem).data.tobytes() == cube.data[:, r:r + 4, c:c + 4].tobytes()
 
 
 def test_patchify_keeps_source_wavelengths(tmp_path, capsys):

@@ -4,9 +4,10 @@
 ``SPECMOSAIC_THREADS=1`` and ``=2`` over small random corpora: periods 1-4
 with a row-major or a JSON ``band_at`` pattern, square and non-square
 sources, whole cubes or patches with a drawn stride, ``--augment`` on or
-off, and source names built from ``s``, ``_anti`` and ``_``, so record stems
-can meet. Both runs must agree on every exit status, on stdout and stderr,
-and on the sha256 of every file they write.
+off, and source names built from ``s``, ``_anti``, ``_`` and ``s.v2``, so
+record stems can meet and a stem can hold dots. Both runs must agree on
+every exit status, on stdout and stderr, and on the sha256 of every file
+they write.
 """
 
 import hashlib
@@ -34,7 +35,8 @@ def _corpora(draw):
     p = draw(st.integers(1, 4))
     band_at = draw(st.none() | st.permutations(range(p * p)))
     names = draw(st.lists(
-        st.lists(st.sampled_from(["s", "_anti", "_"]), min_size=1, max_size=3).map("".join),
+        st.lists(st.sampled_from(["s", "_anti", "_", "s.v2"]), min_size=1, max_size=3)
+        .map("".join),
         min_size=1, max_size=3, unique=True,
     ))
     sources = []
@@ -100,6 +102,7 @@ def _pipeline(root, src, pattern_arg, corpus, threads: str):
 
 _ANTI = [("s", 12, 12, 1), ("s_anti", 12, 12, 2)]
 _WIDE = [("a", 12, 16, 3), ("b", 12, 16, 4), ("s", 12, 16, 5), ("s_anti", 12, 16, 6)]
+_DOTTED = [("s", 12, 12, 7), ("s.v2", 12, 12, 8)]
 
 
 @settings(max_examples=16, deadline=None)
@@ -108,6 +111,8 @@ _WIDE = [("a", 12, 16, 3), ("b", 12, 16, 4), ("s", 12, 16, 5), ("s_anti", 12, 16
                  "patch": None, "stride": None, "augment": True})
 @example(corpus={"period": 2, "band_at": [3, 0, 2, 1], "sources": _WIDE,
                  "patch": (12, 12), "stride": 4, "augment": True})
+@example(corpus={"period": 2, "band_at": None, "sources": _DOTTED,
+                 "patch": (4, 4), "stride": None, "augment": False})
 def test_pipeline_is_the_same_at_one_and_two_workers(tmp_path_factory, corpus):
     base = tmp_path_factory.mktemp("pipe")
     src, p = base / "src", corpus["period"]

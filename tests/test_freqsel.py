@@ -662,7 +662,7 @@ def test_raising_t_cnt_never_grows_hard_set():
 def test_malformed_pair_reports_index():
     good = SpectralCube(np.zeros((1, 16, 16), dtype=np.float32))
     bad = SpectralCube(np.zeros((1, 16, 17), dtype=np.float32))
-    with pytest.raises(ShapeError, match="pair 2"):
+    with pytest.raises(ShapeError, match="record 2"):
         select_hard([(good, good), (good, good), (good, bad)])
 
 

@@ -305,7 +305,7 @@ def test_evaluate_dataset_identity_pair_sentinels():
 def test_evaluate_dataset_error_names_pair_index():
     a = np.zeros((2, 16, 16)) + 0.5
     bad = np.zeros((2, 16, 17)) + 0.5
-    with pytest.raises(ShapeError, match="pair 1"):
+    with pytest.raises(ShapeError, match="record 1"):
         evaluate_dataset([(a, a), (a, bad)])
 
 

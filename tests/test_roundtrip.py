@@ -95,6 +95,27 @@ def test_cube_file_round_trip_is_bit_exact(tmp_path_factory, case):
     assert np.array_equal(read_sidecar(stem).pattern.band_at, pattern.band_at)
 
 
+_NAME_PART = st.text("abv2_-", min_size=1, max_size=4).filter(lambda t: t not in ("bsq", "json"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(parts=st.lists(_NAME_PART, min_size=2, max_size=4), seed=st.integers(0, 2**32 - 1))
+@example(parts=["scene", "v2"], seed=0)
+def test_dotted_stem_keeps_its_own_files(tmp_path_factory, parts, seed):
+    d = tmp_path_factory.mktemp("dots")
+    rng = np.random.default_rng(seed)
+    dotted, plain = ".".join(parts), ".".join(parts[:-1])
+    cubes = {dotted: SpectralCube(rng.random((2, 3, 4), dtype=np.float32)),
+             plain: SpectralCube(rng.random((3, 3, 4), dtype=np.float32))}
+    for stem, cube in cubes.items():
+        write_cube(cube, d / stem)
+    for stem, cube in cubes.items():
+        assert read_cube(d / stem).data.tobytes() == cube.data.tobytes()
+        assert read_cube(d / f"{stem}.bsq").data.tobytes() == cube.data.tobytes()
+    assert sorted(p.name for p in d.iterdir()) == sorted(
+        stem + ext for stem in cubes for ext in (".bsq", ".json"))
+
+
 # ------------------------------------------------------ square symmetries
 
 

@@ -365,7 +365,7 @@ def test_results_identical_at_one_and_two_workers(pairs, t_var):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_loader_failures_read_record_and_pair_failures_read_pair(monkeypatch, threads):
+def test_failures_read_record_for_loaders_and_pairs_alike(monkeypatch, threads):
     monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
     a = SpectralCube(np.full((4, 16, 16), 0.5, dtype=np.float32))
     bad = SpectralCube(np.full((4, 16, 17), 0.5, dtype=np.float32))
@@ -378,7 +378,7 @@ def test_loader_failures_read_record_and_pair_failures_read_pair(monkeypatch, th
             batch([lambda: (a, a), unreadable])
         with pytest.raises(FormatError, match=r"^record 1: "):
             batch([(a, a), unreadable])
-        with pytest.raises(ShapeError, match=r"^pair 1: "):
+        with pytest.raises(ShapeError, match=r"^record 1: "):
             batch([(a, a), (a, bad)])
         with pytest.raises(ShapeError, match=r"^record 1: "):
             batch([(a, a), lambda: (a, bad)])

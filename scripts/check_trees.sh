@@ -4,15 +4,14 @@
 # Builds the c5 and large-sparse `pairs -> select-hard -> metrics` trees
 # (perfbench workloads, seed 7, at 1 and 2 workers) once with the base
 # commit's code and once with the working tree's, then compares the sha256
-# digest of every file in them. It also compares, for every mosaic of the
-# 1-worker trees, the digest of its `wb_bilinear` reconstruction, so the
-# reconstruction's bytes are checked directly and not only through the
-# records that reach the report. For every record of the 1-worker trees it
-# also runs `specmosaic demosaic` on the mosaic, then `specmosaic fvmap
-# --pgm` on the record's cube and that reconstruction, and compares the
-# digests of the map's `.bsq`, `.json` and `.pgm`. Both go through
-# `cli_dispatch`, so the two sides make the same calls even where their
-# Python APIs differ. Run from the repository root:
+# digest of every file in them. For every record of the 1-worker trees it
+# also runs `specmosaic demosaic` on the mosaic and compares the digest of
+# that `wb_bilinear` reconstruction's `.bsq`, so the reconstruction's bytes
+# are checked directly and not only through the records that reach the
+# report. It then runs `specmosaic fvmap --pgm` on the record's cube and
+# that reconstruction, and compares the digests of the map's `.bsq`, `.json`
+# and `.pgm`. Both go through `cli_dispatch`, so the two sides make the same
+# calls even where their Python APIs differ. Run from the repository root:
 #
 #   scripts/check_trees.sh [BASE]
 #
@@ -43,8 +42,6 @@ from workloads import WORKLOADS, generate
 import specmosaic
 from specmosaic.cli import cli_dispatch
 from specmosaic.dataset import read_manifest
-from specmosaic.demosaic import wb_bilinear
-from specmosaic.fileio import read_mosaic, read_sidecar
 assert Path(specmosaic.__file__).resolve().is_relative_to(root), specmosaic.__file__
 digests = {}
 for name in ("c5", "large-sparse"):
@@ -57,14 +54,13 @@ for name in ("c5", "large-sparse"):
             digests[f"{name}.w{n}/{path}"] = sha
     ds = work / name / "w1" / "ds"
     for rec in read_manifest(ds / "manifest.jsonl"):
-        cube = wb_bilinear(read_mosaic(ds / rec.mosaic), read_sidecar(ds / rec.mosaic).pattern)
-        sha = hashlib.sha256(cube.data.tobytes()).hexdigest()
-        digests[f"{name}.w1/wb_bilinear/{rec.mosaic}"] = sha
         stem = Path(rec.mosaic).stem
         recon, fv = work / name / "recon" / stem, work / name / "fvmap" / stem
         p = WORKLOADS[name].period
         assert cli_dispatch(["demosaic", str(ds / rec.mosaic), "--pattern", f"{p}x{p}",
                              "-o", str(recon)]) == 0, f"demosaic {rec.mosaic} failed"
+        sha = hashlib.sha256(Path(f"{recon}.bsq").read_bytes()).hexdigest()
+        digests[f"{name}.w1/wb_bilinear/{rec.mosaic}"] = sha
         assert cli_dispatch(["fvmap", str(ds / rec.cube), f"{recon}.bsq", "-o", str(fv),
                              "--pgm", f"{fv}.pgm"]) == 0, f"fvmap {rec.mosaic} failed"
         for ext in ("bsq", "json", "pgm"):

@@ -23,7 +23,9 @@ augment-then-remosaic keeps every emitted pair on the canonical pattern.
 Record processing parallelizes under the ``SPECMOSAIC_THREADS`` cap, with
 each record loaded inside its worker; files are written atomically and
 manifests in input order, so outputs are byte-identical for any worker
-count.
+count. ``make_pseudo_pairs`` decides every record from the sources'
+sidecars before its workers start, and they only cut and write, so a source
+its checks reject stops the run with no file written.
 """
 
 from __future__ import annotations
@@ -148,6 +150,26 @@ def _patch_stride(patch_h: int, patch_w: int, stride: int | None) -> int:
     return patch_h
 
 
+def _patch_origins(
+    height: int, width: int, patch_h: int, patch_w: int, stride: int, period: int
+) -> list[PatchOrigin]:
+    """The windows :func:`patchify` cuts from a ``height`` x ``width`` cube,
+    with its checks and messages."""
+    if patch_h < 1 or patch_w < 1 or stride < 1:
+        raise BoundsError(f"patch {patch_h}x{patch_w} and stride {stride} must be positive")
+    for name, value in (("patch height", patch_h), ("patch width", patch_w), ("stride", stride)):
+        if value % period != 0:
+            raise AlignmentError(
+                f"{name} {value} is not a multiple of the pattern period {period}")
+    if patch_h > height or patch_w > width:
+        raise BoundsError(f"patch {patch_h}x{patch_w} exceeds cube extent {height}x{width}")
+    return [
+        PatchOrigin(row, col, patch_h, patch_w)
+        for row in range(0, height - patch_h + 1, stride)
+        for col in range(0, width - patch_w + 1, stride)
+    ]
+
+
 def patchify(
     cube: SpectralCube, patch_h: int, patch_w: int, stride: int, period: int
 ) -> list[tuple[PatchOrigin, SpectralCube]]:
@@ -156,25 +178,8 @@ def patchify(
     Patch dims and the stride must be multiples of the pattern period so
     every patch keeps the parent's mosaic phase.
     """
-    if patch_h < 1 or patch_w < 1 or stride < 1:
-        raise BoundsError(
-            f"patch {patch_h}x{patch_w} and stride {stride} must be positive"
-        )
-    for name, value in (("patch height", patch_h), ("patch width", patch_w), ("stride", stride)):
-        if value % period != 0:
-            raise AlignmentError(
-                f"{name} {value} is not a multiple of the pattern period {period}"
-            )
-    if patch_h > cube.height or patch_w > cube.width:
-        raise BoundsError(
-            f"patch {patch_h}x{patch_w} exceeds cube extent {cube.height}x{cube.width}"
-        )
-    out: list[tuple[PatchOrigin, SpectralCube]] = []
-    for row in range(0, cube.height - patch_h + 1, stride):
-        for col in range(0, cube.width - patch_w + 1, stride):
-            origin = PatchOrigin(row, col, patch_h, patch_w)
-            out.append((origin, crop_aligned(cube, origin, period)))
-    return out
+    origins = _patch_origins(cube.height, cube.width, patch_h, patch_w, stride, period)
+    return [(o, crop_aligned(cube, o, period)) for o in origins]
 
 
 def _augment_ops(height: int, width: int, what: str) -> Sequence[str]:
@@ -229,13 +234,15 @@ def make_pseudo_pairs(
     ``out_dir/MANIFEST_NAME``) are relative to ``out_dir``. Re-reading any
     record and re-sampling its cube reproduces its mosaic bit-exactly.
 
-    Each source's sidecar is read once, in source order, before any file is
-    written, and its shape decides the ops: with ``augment``, all of D4_OPS
-    for a square source, else the shape-preserving 4 and one warning naming
-    it. Sources whose ``{source}_{op}`` stems meet for the ops they emit,
-    equal names included, raise :class:`FormatError`. Workers then make a
-    source's variants one at a time, each cut and written before the next,
-    so a worker holds one source cube, one variant and its patches.
+    Every record is decided before any file is written. Each source's
+    sidecar is read once, in source order: its shape decides the ops (with
+    ``augment``, all of D4_OPS for a square source, else the
+    shape-preserving 4 and one warning naming it), its band count must match
+    the pattern, and its patch origins are laid out as :func:`patchify`
+    would. Sources whose ``{source}_{op}`` stems meet for the ops they emit,
+    equal names included, raise :class:`FormatError`. A run those checks
+    stop writes no file. Workers then only read payloads and write one patch
+    at a time, so a worker holds one source cube, one variant and one patch.
 
     ``stride`` defaults to the patch height/width when omitted
     (non-overlapping tiling); a non-square patch requires an explicit stride.
@@ -247,10 +254,22 @@ def make_pseudo_pairs(
     elif stride is not None:
         raise AlignmentError("a stride without a patch size is meaningless")
 
-    def plan(source: Path) -> tuple[Path, tuple[float, ...] | None, Sequence[str]]:
+    Plan = tuple[Path, tuple[float, ...] | None, list[PatchOrigin], dict[str, list[PairRecord]]]
+
+    def plan(source: Path) -> Plan:
         side = read_sidecar(source)
         ops = _augment_ops(side.height, side.width, f"cube {source}") if augment else ("identity",)
-        return source, side.wavelengths_nm, ops
+        _check_bands(side, pattern, f"cube {source}")
+        # Variants keep the source's shape (a non-square one gets only the
+        # shape-preserving ops), so one origin list serves every op.
+        origins = [PatchOrigin(0, 0, side.height, side.width)] if patch is None else (
+            _patch_origins(side.height, side.width, patch_h, patch_w, stride, pattern.period))
+        by_op: dict[str, list[PairRecord]] = {}
+        for op in ops:
+            stems = [_patch_stem(f"{source.name}_{op}", o) for o in origins]
+            by_op[op] = [PairRecord(f"{t}_mosaic.bsq", f"{t}_cube.bsq", source.name,
+                                    (o.row, o.col), op) for t, o in zip(stems, origins)]
+        return source, side.wavelengths_nm, origins, by_op
 
     # In the parent and in source order, so warnings and errors come out the
     # same for any worker count.
@@ -258,8 +277,8 @@ def make_pseudo_pairs(
     # Record stems start "{source}_{op}", so equal names meet, and so do
     # "s" + "anti_transpose" and "s_anti" + "transpose".
     writer: dict[str, int] = {}
-    for i, (source, _, ops) in enumerate(plans):
-        for op in ops:
+    for i, (source, _, _, by_op) in enumerate(plans):
+        for op in by_op:
             j = writer.setdefault(f"{source.name}_{op}", i)
             if j != i:
                 raise FormatError(
@@ -267,41 +286,21 @@ def make_pseudo_pairs(
                     f"{source.name}_{op}_*"
                 )
 
-    def emit(
-        source_id: str, aug: str, var: SpectralCube, wavelengths: tuple[float, ...] | None
-    ) -> list[PairRecord]:
-        # Cuts and writes one variant; it and its patches die on return.
-        if patch is not None:
-            pieces = patchify(var, patch_h, patch_w, stride, pattern.period)
-        else:
-            pieces = [(PatchOrigin(0, 0, var.height, var.width), var)]
-        records: list[PairRecord] = []
-        for origin, label in pieces:
-            stem = _patch_stem(f"{source_id}_{aug}", origin)
-            cube_name, mosaic_name = stem + "_cube", stem + "_mosaic"
-            write_cube(label, out / cube_name, pattern=pattern, wavelengths_nm=wavelengths)
-            write_mosaic(mosaic(label, pattern), out / mosaic_name, pattern=pattern)
-            records.append(
-                PairRecord(
-                    mosaic=mosaic_name + ".bsq",
-                    cube=cube_name + ".bsq",
-                    source=source_id,
-                    origin=(origin.row, origin.col),
-                    aug=aug,
-                )
-            )
-        return records
-
-    def job(item: tuple[Path, tuple[float, ...] | None, Sequence[str]]) -> list[PairRecord]:
-        path, wavelengths, ops = item
+    def job(item: Plan) -> None:
+        path, wavelengths, origins, by_op = item
         cube = read_cube(path)
-        _check_bands(cube, pattern, f"cube {path}")
-        # D4 ops and crops keep band order, so every patch keeps the list.
-        return [rec for op in ops
-                for rec in emit(path.name, op, transform_d4(cube, op), wavelengths)]
+        for op, recs in by_op.items():
+            var = transform_d4(cube, op)
+            for origin, rec in zip(origins, recs):
+                # D4 ops and crops keep band order, so every patch keeps the list.
+                label = crop_aligned(var, origin, pattern.period)
+                write_cube(label, out / rec.cube, pattern=pattern, wavelengths_nm=wavelengths)
+                write_mosaic(mosaic(label, pattern), out / rec.mosaic, pattern=pattern)
+                del label  # before the next patch is cut
+            del var  # before the next variant is made
 
-    per_source = map_records(job, plans, what="source")
-    records = [r for chunk in per_source for r in chunk]
+    map_records(job, plans, what="source")
+    records = [r for *_, by_op in plans for recs in by_op.values() for r in recs]
     write_manifest(records, out / MANIFEST_NAME)
     return records
 

@@ -748,6 +748,26 @@ def test_pairs_rejects_sources_whose_record_names_collide(tmp_path, capsys):
     assert len(read_manifest(tmp_path / "wide_aug" / "manifest.jsonl")) == 8
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("bands, side, error", [
+    (9, 6, "patch 12x12 exceeds cube extent 6x6"),
+    (4, 24, "cube {a} has 4 bands but pattern period 3 requires 9"),
+], ids=["small", "short"])
+def test_pairs_source_the_plan_rejects_writes_nothing(
+    tmp_path, capsys, monkeypatch, threads, bands, side, error
+):
+    # Every source's sidecar is checked before any worker starts, so the
+    # good source "b" after the rejected "a" writes nothing either.
+    src = tmp_path / "src"
+    _write_const_cube(src / "a", np.linspace(0.1, 0.9, bands), h=side, w=side)
+    _write_const_cube(src / "b", np.linspace(0.1, 0.9, 9), h=24, w=24)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
+    code, out, err = run(capsys, "pairs", src, "--pattern", "3x3", "--patch", 12, 12,
+                         "-o", tmp_path / "ds")
+    assert (code, out, err) == (1, "", f"error: source 0: {error.format(a=src / 'a')}\n")
+    assert not (tmp_path / "ds").exists()
+
+
 _RECORD = {"mosaic": "m.bsq", "cube": "c.bsq", "source": "s", "origin": [0, 0], "aug": "identity"}
 
 

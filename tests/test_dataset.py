@@ -322,6 +322,30 @@ def test_pairs_hold_one_variant_at_a_time(tmp_path, monkeypatch, patch):
     assert alive_before == [0] * 8
 
 
+def test_pairs_hold_one_patch_at_a_time(tmp_path, monkeypatch):
+    # Before each patch is cut, every earlier one is already freed: it was
+    # written, then dropped.
+    monkeypatch.setenv("SPECMOSAIC_THREADS", "1")
+    made: list[weakref.ref] = []
+    alive_before: list[int] = []
+    real = dataset.crop_aligned
+
+    def spy(cube, origin, period):
+        alive_before.append(sum(ref() is not None for ref in made))
+        label = real(cube, origin, period)
+        made.append(weakref.ref(label))
+        return label
+
+    monkeypatch.setattr(dataset, "crop_aligned", spy)
+    rng = np.random.default_rng(87)
+    src = write_cube(_rand_cube(rng, 4, 16, 16), tmp_path / "in" / "img")
+    records = make_pseudo_pairs(
+        [src], SfaPattern.row_major(2), tmp_path / "ds", patch=(8, 8), augment=True
+    )
+    assert len(records) == 8 * 4
+    assert alive_before == [0] * 32
+
+
 @pytest.mark.parametrize("patch, origins", [
     (None, [(0, 0)]),
     ((4, 4), [(0, 0), (0, 4), (0, 8), (4, 0), (4, 4), (4, 8)]),

@@ -4,10 +4,12 @@
 ``SPECMOSAIC_THREADS=1`` and ``=2`` over small random corpora: periods 1-4
 with a row-major or a JSON ``band_at`` pattern, square and non-square
 sources, whole cubes or patches with a drawn stride, ``--augment`` on or
-off, and source names built from ``s``, ``_anti``, ``_`` and ``s.v2``, so
-record stems can meet and a stem can hold dots. Both runs must agree on
-every exit status, on stdout and stderr, and on the sha256 of every file
-they write.
+off, source names built from ``s``, ``_anti``, ``_`` and ``s.v2``, so
+record stems can meet and a stem can hold dots, and in one corpus of four a
+source that ``pairs`` rejects: one band too many, or one row short of the
+patch. Both runs must agree on every exit status, on stdout and stderr, and
+on the sha256 of every file they write. A corpus whose stems meet or that
+holds a rejected source must fail ``pairs`` and write no file at all.
 """
 
 import hashlib
@@ -31,7 +33,8 @@ from specmosaic.fileio import read_cube, read_mosaic, write_cube
 @st.composite
 def _corpora(draw):
     """A corpus description: the pattern, the sources as (name, height,
-    width, seed), the patch and stride flags and ``--augment``."""
+    width, seed), the patch and stride flags, ``--augment`` and the rejected
+    source as (index, "bands" or "small"), if any."""
     p = draw(st.integers(1, 4))
     band_at = draw(st.none() | st.permutations(range(p * p)))
     names = draw(st.lists(
@@ -51,8 +54,12 @@ def _corpora(draw):
                  draw(sides.filter(lambda n: n <= min(s[2] for s in sources))))
         if patch[0] != patch[1] or draw(st.booleans()):
             stride = draw(sides)
-    return {"period": p, "band_at": band_at, "sources": sources,
-            "patch": patch, "stride": stride, "augment": draw(st.booleans())}
+    reject = None
+    if draw(st.integers(0, 3)) == 0:
+        kinds = ["bands"] if patch is None else ["bands", "small"]
+        reject = (draw(st.integers(0, len(sources) - 1)), draw(st.sampled_from(kinds)))
+    return {"period": p, "band_at": band_at, "sources": sources, "patch": patch,
+            "stride": stride, "augment": draw(st.booleans()), "reject": reject}
 
 
 def _emitted_prefixes(corpus) -> list[set[str]]:
@@ -103,6 +110,7 @@ def _pipeline(root, src, pattern_arg, corpus, threads: str):
 _ANTI = [("s", 12, 12, 1), ("s_anti", 12, 12, 2)]
 _WIDE = [("a", 12, 16, 3), ("b", 12, 16, 4), ("s", 12, 16, 5), ("s_anti", 12, 16, 6)]
 _DOTTED = [("s", 12, 12, 7), ("s.v2", 12, 12, 8)]
+_PAIR = [("a", 12, 12, 9), ("b", 12, 12, 10)]
 
 
 @settings(max_examples=16, deadline=None)
@@ -113,12 +121,20 @@ _DOTTED = [("s", 12, 12, 7), ("s.v2", 12, 12, 8)]
                  "patch": (12, 12), "stride": 4, "augment": True})
 @example(corpus={"period": 2, "band_at": None, "sources": _DOTTED,
                  "patch": (4, 4), "stride": None, "augment": False})
+@example(corpus={"period": 3, "band_at": None, "sources": _PAIR,
+                 "patch": (6, 6), "stride": None, "augment": False, "reject": (0, "bands")})
+@example(corpus={"period": 3, "band_at": None, "sources": _PAIR,
+                 "patch": (6, 6), "stride": None, "augment": True, "reject": (0, "small")})
 def test_pipeline_is_the_same_at_one_and_two_workers(tmp_path_factory, corpus):
     base = tmp_path_factory.mktemp("pipe")
     src, p = base / "src", corpus["period"]
-    for name, h, w, seed in corpus["sources"]:
+    reject = corpus.get("reject")
+    for i, (name, h, w, seed) in enumerate(corpus["sources"]):
+        bands = p * p + (reject == (i, "bands"))
+        if reject == (i, "small"):
+            h = corpus["patch"][0] - 1
         rng = np.random.default_rng(seed)
-        write_cube(SpectralCube(rng.uniform(0, 1, (p * p, h, w)).astype(np.float32)), src / name)
+        write_cube(SpectralCube(rng.uniform(0, 1, (bands, h, w)).astype(np.float32)), src / name)
     if corpus["band_at"] is None:
         pattern, pattern_arg = SfaPattern.row_major(p), f"{p}x{p}"
     else:
@@ -134,8 +150,16 @@ def test_pipeline_is_the_same_at_one_and_two_workers(tmp_path_factory, corpus):
 
     prefixes = _emitted_prefixes(corpus)
     collide = any(a & b for i, a in enumerate(prefixes) for b in prefixes[:i])
-    assert one[0][0][0] == (1 if collide else 0), one[0]
-    if collide:
+    assert one[0][0][0] == (1 if collide or reject else 0), one[0]
+    if reject:
+        i, kind = reject
+        if kind == "bands":
+            error = f"has {p * p + 1} bands but pattern period {p} requires {p * p}"
+        else:
+            ph, pw = corpus["patch"]
+            error = f"patch {ph}x{pw} exceeds cube extent {ph - 1}x{corpus['sources'][i][2]}"
+        assert one[0][0][2].endswith(f"{error}\n"), one[0]
+    if collide or reject:
         assert one[1] == {}
         return
     for rec in read_manifest(root / "ds" / "manifest.jsonl"):

@@ -4,7 +4,10 @@
 # Builds the c5 and large-sparse `pairs -> select-hard -> metrics` trees
 # (perfbench workloads, seed 7, at 1 and 2 workers) once with the base
 # commit's code and once with the working tree's, then compares the sha256
-# digest of every file in them. For every record of the 1-worker trees it
+# digest of every file in them but `report.json`. That one is compared field
+# by field, as README's numeric contract for scores allows: the same keys in
+# the same order, every value exact except each `ssim` and `mean_ssim`, which
+# may move by at most 16 ulps. For every record of the 1-worker trees it
 # also runs `specmosaic demosaic` on the mosaic and compares the digest of
 # that `wb_bilinear` reconstruction's `.bsq`, so the reconstruction's bytes
 # are checked directly and not only through the records that reach the
@@ -16,9 +19,12 @@
 #   scripts/check_trees.sh [BASE]
 #
 # BASE is any git revision and defaults to HEAD~1; use HEAD to check
-# uncommitted work. Prints "trees identical (N digests)" and exits 0, or
-# lists the differing digests and exits 1. It also exits 1 if either side
-# produced no digests, so an empty comparison cannot pass.
+# uncommitted work. It prints how many SSIM values moved and the largest
+# move in ulps, then "trees identical (N digests)" when nothing moved or
+# "trees within the numeric contract (N digests)" when only SSIM values
+# moved within the bound, and exits 0. Otherwise it lists the differing
+# digests and values and exits 1. It also exits 1 if either side produced
+# no digests, so an empty comparison cannot pass.
 set -eu
 
 base=${1:-HEAD~1}
@@ -27,9 +33,10 @@ trap 'rm -rf "$work"' EXIT
 git archive --prefix=base/ "$base" | tar -x -C "$work"
 
 # digests ROOT OUT: build every tree with ROOT's code under OUT and print
-# one "<workload>.w<n>/<file>": "<sha256>" line per output file, plus one
-# "<workload>.w1/wb_bilinear/<mosaic>" line per mosaic and one
-# "<workload>.w1/fvmap/<record>.<ext>" line per map file of each record.
+# one "<workload>.w<n>/<file>": "<sha256>" entry per output file (the parsed
+# report for each report.json) as JSON, plus one
+# "<workload>.w1/wb_bilinear/<mosaic>" entry per mosaic and one
+# "<workload>.w1/fvmap/<record>.<ext>" entry per map file of each record.
 digests() {
     python3 - "$1" "$2" <<'PY'
 import hashlib, json, sys
@@ -52,6 +59,7 @@ for name in ("c5", "large-sparse"):
                             work / "log.txt").ok, f"{name} at {n} workers failed"
         for path, sha in tree_digest(tree).items():
             digests[f"{name}.w{n}/{path}"] = sha
+        digests[f"{name}.w{n}/report.json"] = json.loads((tree / "report.json").read_text())
     ds = work / name / "w1" / "ds"
     for rec in read_manifest(ds / "manifest.jsonl"):
         stem = Path(rec.mosaic).stem
@@ -66,23 +74,66 @@ for name in ("c5", "large-sparse"):
         for ext in ("bsq", "json", "pgm"):
             sha = hashlib.sha256(Path(f"{fv}.{ext}").read_bytes()).hexdigest()
             digests[f"{name}.w1/fvmap/{stem}.{ext}"] = sha
-print(json.dumps(digests, indent=0, sort_keys=True))
+# Unsorted, so that each report keeps its key order.
+print(json.dumps(digests))
 PY
 }
 
 digests "$work/base" "$work/run-base" > "$work/base.json"
 digests . "$work/run-change" > "$work/change.json"
-# json.dumps(indent=0) puts each digest on its own line, starting with '"'.
-n_base=$(grep -c '^"' "$work/base.json" || true)
-n_change=$(grep -c '^"' "$work/change.json" || true)
-if [ "$n_base" -eq 0 ] || [ "$n_change" -eq 0 ]; then
-    echo "no digests to compare (base: $n_base, working tree: $n_change)" >&2
-    exit 1
-fi
-if cmp -s "$work/base.json" "$work/change.json"; then
-    echo "trees identical ($n_change digests)"
-else
-    echo "trees differ from $base (< base, > working tree):" >&2
-    diff "$work/base.json" "$work/change.json" >&2 || true
-    exit 1
-fi
+python3 - "$work/base.json" "$work/change.json" "$base" <<'PY'
+import json, math, struct, sys
+base, change = (json.loads(open(p).read()) for p in sys.argv[1:3])
+BOUND = 16  # ulps an ssim or mean_ssim value may move
+if not base or not change:
+    sys.exit(f"no digests to compare (base: {len(base)}, working tree: {len(change)})")
+
+
+def ordered(x):  # a double's bits as an integer in numeric order, both zeros 0
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(2**63) - i
+
+
+def same(a, b):  # NaN matches NaN
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+moved, scored, worst, bad = 0, 0, 0, []
+
+
+def walk(path, a, b):
+    """Compare one parsed report value: keys in order, ssim within BOUND ulps,
+    everything else exact."""
+    global moved, scored, worst
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            bad.append(f"{path}: keys {list(a)} != {list(b)}")
+        for k in a.keys() & b.keys():
+            walk(f"{path}.{k}", a[k], b[k])
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            walk(f"{path}[{i}]", x, y)
+    elif path.endswith(("].ssim", ".mean_ssim")) and type(a) is type(b) is float:
+        scored += 1
+        if same(a, b):
+            return
+        d = math.inf if math.isnan(a) or math.isnan(b) else abs(ordered(a) - ordered(b))
+        moved, worst = moved + 1, max(worst, d)
+        if d > BOUND:
+            bad.append(f"{path}: {a!r} != {b!r} ({d} ulps)")
+    elif not same(a, b):
+        bad.append(f"{path}: {a!r} != {b!r}")
+
+
+for key in sorted(base.keys() | change.keys()):
+    a, b = base.get(key), change.get(key)
+    if key.endswith("/report.json") and isinstance(a, dict):
+        walk(key, a, b)
+    elif a != b:
+        bad.append(f"{key}: {a} != {b}")
+print(f"report.json: {moved} of {scored} ssim values moved, largest {worst} ulps (bound {BOUND})")
+if bad:
+    print(f"trees differ from {sys.argv[3]} (base != working tree):", *bad, sep="\n", file=sys.stderr)
+    sys.exit(1)
+print(f"trees {'within the numeric contract' if moved else 'identical'} ({len(change)} digests)")
+PY

@@ -8,10 +8,11 @@ do not queue on one interpreter lock. A forked worker inherits the mapped
 function and its inputs through copy-on-write memory: neither is pickled, so
 closures work, and only item indices go out and pickled results come back,
 each worker over its own pair of pipes. The caller hands out one index at a
-time, in input order, and runs no helper thread. No kernel in the package
-calls BLAS, so its threads need no pinning inside workers. Forking is unsafe
-while other threads of the caller may hold locks: a caller that runs threads
-of its own should set ``SPECMOSAIC_THREADS=1``.
+time, in input order, and runs no helper thread. SSIM calls BLAS gemm, but
+each product is sized to run on the calling thread, so BLAS threads need no
+pinning inside workers, and its bits do not depend on the BLAS thread count.
+Forking is unsafe while other threads of the caller may hold locks: a caller
+that runs threads of its own should set ``SPECMOSAIC_THREADS=1``.
 
 All parallel maps preserve input order and all mapped functions are pure, so
 results — and therefore every file written from them — are byte-identical

@@ -282,7 +282,8 @@ def crop_aligned(cube: SpectralCube, origin: PatchOrigin, period: int) -> Spectr
     """Extract the window described by ``origin`` from all bands.
 
     The origin must sit on a period boundary so the patch keeps the parent's
-    mosaic phase, and the window must lie fully inside the cube.
+    mosaic phase, and the window must lie fully inside the cube. A window
+    contiguous in the parent (the whole cube) shares its read-only buffer.
     """
     if period < 1:
         raise AlignmentError("period must be >= 1")
@@ -299,7 +300,7 @@ def crop_aligned(cube: SpectralCube, origin: PatchOrigin, period: int) -> Spectr
         origin.row : origin.row + origin.size_h,
         origin.col : origin.col + origin.size_w,
     ]
-    return SpectralCube(window.copy())
+    return SpectralCube(window)
 
 
 # Spatial index maps, applied identically to every band. With out = f(x):

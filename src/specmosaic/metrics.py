@@ -2,11 +2,12 @@
 
 All three accept either :class:`~specmosaic.core.SpectralCube` values or bare
 3D arrays laid out band-first, compute in float64, and are symmetric in their
-two image arguments. Inputs are converted one band at a time: ``ssim`` and
-``sam`` hold float64 temporaries of one band (``sam`` adds three per-pixel
-sums), and ``psnr`` one float64 difference cube. Dataset-level scores are
-arithmetic means of per-image values taken in input order (PSNR is averaged
-in dB, at peak 1.0).
+two image arguments. Inputs are converted one band at a time: ``ssim``'s
+temporaries are one (H, 4, W) float64 stack of a band's four moment maps
+plus the results of its two filter passes, ``sam`` holds float64
+temporaries of one band and three per-pixel sums, and ``psnr`` one float64
+difference cube. Dataset-level scores are arithmetic means of per-image
+values taken in input order (PSNR is averaged in dB, at peak 1.0).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from ._threads import map_pairs
 from ._version import TOOL_VERSION
 from .core import DegenerateInputError, ShapeError, SpectralCube
-from .freqsel import _check_positive, _corr_valid, _equal_bands, _gauss_kernel
+from .freqsel import _check_positive, _equal_bands, _gauss_kernel
 
 __all__ = [
     "psnr",
@@ -38,6 +39,14 @@ _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _SSIM_L = 1.0
 _SAM_NORM_GUARD = 1e-12
+
+# SSIM's filter products: _BLOCK output rows by at most _CHUNK columns keep
+# m*n*k within 2**18, so OpenBLAS runs each on the calling thread.
+_BLOCK, _CHUNK = 16, 512
+# Row i holds the 11 taps from column i on: row i of _KB @ block filters
+# input rows i .. i + 10 of the block.
+_KB = sum(tap * np.eye(_BLOCK, _BLOCK + _SSIM_WINDOW - 1, j)
+          for j, tap in enumerate(_gauss_kernel(_SSIM_SIGMA, (_SSIM_WINDOW - 1) // 2)))
 
 
 def _as_bands(x: SpectralCube | np.ndarray, name: str) -> np.ndarray:
@@ -67,6 +76,19 @@ def psnr(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray, peak: float
     return float(10.0 * np.log10(peak * peak / mse))
 
 
+def _filter_rows(a: np.ndarray, out: np.ndarray) -> None:
+    """Write the valid 11-tap SSIM Gaussian down the rows of the 2D float64
+    ``a`` into ``out``, either of them possibly a transposed view, as _KB
+    products of at most _BLOCK output rows by _CHUNK columns."""
+    n = out.shape[0]
+    for r0 in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - r0)
+        kb = _KB[:m, : m + _SSIM_WINDOW - 1]
+        block = a[r0 : r0 + m + _SSIM_WINDOW - 1]
+        for c0 in range(0, a.shape[1], _CHUNK):
+            np.matmul(kb, block[:, c0 : c0 + _CHUNK], out=out[r0 : r0 + m, c0 : c0 + _CHUNK])
+
+
 def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
     """Mean structural similarity, per band then averaged across bands.
 
@@ -79,7 +101,6 @@ def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
     quotient is 1.0. Bands holding NaN or an infinity are filtered.
     """
     af, bf = _paired(a, b)
-    radius = (_SSIM_WINDOW - 1) // 2
     if af.shape[1] < _SSIM_WINDOW or af.shape[2] < _SSIM_WINDOW:
         raise ShapeError(
             f"spatial extent {af.shape[1]}x{af.shape[2]} is smaller than the "
@@ -87,24 +108,37 @@ def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
         )
     c1 = (_SSIM_K1 * _SSIM_L) ** 2
     c2 = (_SSIM_K2 * _SSIM_L) ** 2
-    kernel = _gauss_kernel(_SSIM_SIGMA, radius)
+    _, h, w = af.shape
+    hv, wv = h - _SSIM_WINDOW + 1, w - _SSIM_WINDOW + 1  # valid windows
+    stack = np.empty((h, 4, w))
+    rows = np.empty((hv, 4, w))
+    moments = np.empty((hv, 4, wv))
+    x, y, xy, xx_yy = (stack[:, i] for i in range(4))
     per_band = np.empty(af.shape[0], dtype=np.float64)
     for k in range(af.shape[0]):
         if _equal_bands(af[k], bf[k]):
             per_band[k] = 1.0
             continue
-        x = af[k].astype(np.float64, copy=False)
-        y = bf[k].astype(np.float64, copy=False)
-        mx = _corr_valid(x, kernel)
-        my = _corr_valid(y, kernel)
+        x[...] = af[k]
+        y[...] = bf[k]
+        np.multiply(x, y, out=xy)
+        np.add(np.multiply(x, x, out=xx_yy), y * y, out=xx_yy)
+        # Down the columns, then along the rows through transposed views, so
+        # moments[:, i] is moment i's (H - 10, W - 10) map.
+        _filter_rows(stack.reshape(h, -1), rows.reshape(hv, -1))
+        _filter_rows(rows.reshape(-1, w).T, moments.reshape(-1, wv).T)
+        mx, my, exy, exx_yy = (moments[:, i] for i in range(4))
         mxy = mx * my
         mm = mx * mx + my * my
         # Covariance via E[xy] - E[x]E[y]; the denominator needs only the sum
         # of the variances, so x*x + y*y takes one filter pass. When x equals
         # y, doubling is exact, so every factor of the quotient is bitwise
         # equal to its denominator twin and ssim(a, a) == 1.0 exactly.
-        sxy = _corr_valid(x * y, kernel) - mxy
-        ss = _corr_valid(x * x + y * y, kernel) - mm
+        # Swapping x and y swaps the stack's first two maps and keeps the
+        # other two, and gemm sums each output from its own input column in
+        # one order, so every quotient keeps its bits: ssim(a, b) == ssim(b, a).
+        sxy = exy - mxy
+        ss = exx_yy - mm
         num = (2.0 * mxy + c1) * (2.0 * sxy + c2)
         den = (mm + c1) * (ss + c2)
         per_band[k] = np.mean(num / den)

@@ -147,6 +147,14 @@ class TestCropAligned:
         assert out.data.base is None or out.data.base is not c.data
         assert np.array_equal(c.data, before)
 
+    def test_whole_window_shares_the_parent_and_a_part_is_copied(self):
+        c = _cube(np.random.default_rng(3))
+        whole = crop_aligned(c, PatchOrigin(0, 0, 8, 8), period=2)
+        part = crop_aligned(c, PatchOrigin(0, 0, 8, 4), period=2)
+        assert np.shares_memory(whole.data, c.data) and not whole.data.flags.writeable
+        assert not np.shares_memory(part.data, c.data)
+        assert np.array_equal(whole.data, c.data) and np.array_equal(part.data, c.data[:, :, :4])
+
     def test_random_windows_match_direct_lookup(self):
         rng = np.random.default_rng(2)
         for _ in range(100):

@@ -19,8 +19,9 @@
 #   scripts/check_trees.sh [BASE]
 #
 # BASE is any git revision and defaults to HEAD~1; use HEAD to check
-# uncommitted work. It prints how many SSIM values moved and the largest
-# move in ulps, then "trees identical (N digests)" when nothing moved or
+# uncommitted work. For each workload, then in total, it prints how many
+# SSIM values moved and the largest move in ulps (and, per workload, in
+# absolute value), then "trees identical (N digests)" when nothing moved or
 # "trees within the numeric contract (N digests)" when only SSIM values
 # moved within the bound, and exits 0. Otherwise it lists the differing
 # digests and values and exits 1. It also exits 1 if either side produced
@@ -98,27 +99,28 @@ def same(a, b):  # NaN matches NaN
     return type(a) is type(b) and (a == b or (a != a and b != b))
 
 
-moved, scored, worst, bad = 0, 0, 0, []
+bad = []
+stats = {}  # workload -> [moved, scored, largest ulps, largest absolute move]
 
 
-def walk(path, a, b):
+def walk(path, a, b, st):
     """Compare one parsed report value: keys in order, ssim within BOUND ulps,
-    everything else exact."""
-    global moved, scored, worst
+    everything else exact. Count each ssim value into st."""
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             bad.append(f"{path}: keys {list(a)} != {list(b)}")
         for k in a.keys() & b.keys():
-            walk(f"{path}.{k}", a[k], b[k])
+            walk(f"{path}.{k}", a[k], b[k], st)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
-            walk(f"{path}[{i}]", x, y)
+            walk(f"{path}[{i}]", x, y, st)
     elif path.endswith(("].ssim", ".mean_ssim")) and type(a) is type(b) is float:
-        scored += 1
+        st[1] += 1
         if same(a, b):
             return
         d = math.inf if math.isnan(a) or math.isnan(b) else abs(ordered(a) - ordered(b))
-        moved, worst = moved + 1, max(worst, d)
+        st[0], st[2] = st[0] + 1, max(st[2], d)
+        st[3] = max(st[3], math.inf if d == math.inf else abs(a - b))
         if d > BOUND:
             bad.append(f"{path}: {a!r} != {b!r} ({d} ulps)")
     elif not same(a, b):
@@ -128,9 +130,14 @@ def walk(path, a, b):
 for key in sorted(base.keys() | change.keys()):
     a, b = base.get(key), change.get(key)
     if key.endswith("/report.json") and isinstance(a, dict):
-        walk(key, a, b)
+        walk(key, a, b, stats.setdefault(key.split(".w")[0], [0, 0, 0, 0.0]))
     elif a != b:
         bad.append(f"{key}: {a} != {b}")
+for name, (n, of, ulps, dist) in stats.items():
+    print(f"report.json {name}: {n} of {of} ssim values moved, largest {ulps} ulps, {dist:.3g} absolute")
+moved = sum(st[0] for st in stats.values())
+scored = sum(st[1] for st in stats.values())
+worst = max((st[2] for st in stats.values()), default=0)
 print(f"report.json: {moved} of {scored} ssim values moved, largest {worst} ulps (bound {BOUND})")
 if bad:
     print(f"trees differ from {sys.argv[3]} (base != working tree):", *bad, sep="\n", file=sys.stderr)

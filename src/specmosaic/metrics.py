@@ -3,8 +3,9 @@
 All three accept either :class:`~specmosaic.core.SpectralCube` values or bare
 3D arrays laid out band-first, compute in float64, and are symmetric in their
 two image arguments. Inputs are converted one band at a time: ``ssim``'s
-temporaries are one (H, 4, W) float64 stack of a band's four moment maps
-plus the results of its two filter passes, ``sam`` holds float64
+temporaries are one (4, H, W) float64 stack of a band's four moment planes,
+the (4, H - 10, W) and (4, H - 10, W - 10) results of its two filter passes
+and two (H - 10, W - 10) buffers for the quotient, ``sam`` holds float64
 temporaries of one band and three per-pixel sums, and ``psnr`` one float64
 difference cube. Dataset-level scores are arithmetic means of per-image
 values taken in input order (PSNR is averaged in dB, at peak 1.0).
@@ -47,6 +48,8 @@ _BLOCK, _CHUNK = 16, 512
 # input rows i .. i + 10 of the block.
 _KB = sum(tap * np.eye(_BLOCK, _BLOCK + _SSIM_WINDOW - 1, j)
           for j, tap in enumerate(_gauss_kernel(_SSIM_SIGMA, (_SSIM_WINDOW - 1) // 2)))
+# _KB.T, contiguous: a product by the transposed view ran at half the speed.
+_KBT = _KB.T.copy()
 
 
 def _as_bands(x: SpectralCube | np.ndarray, name: str) -> np.ndarray:
@@ -76,17 +79,30 @@ def psnr(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray, peak: float
     return float(10.0 * np.log10(peak * peak / mse))
 
 
-def _filter_rows(a: np.ndarray, out: np.ndarray) -> None:
-    """Write the valid 11-tap SSIM Gaussian down the rows of the 2D float64
-    ``a`` into ``out``, either of them possibly a transposed view, as _KB
-    products of at most _BLOCK output rows by _CHUNK columns."""
-    n = out.shape[0]
-    for r0 in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - r0)
+def _filter(stack: np.ndarray, rows: np.ndarray, moments: np.ndarray) -> None:
+    """Write the valid 11-tap SSIM Gaussian of each (H, W) plane of the
+    float64 ``stack`` into ``moments``, by way of ``rows``.
+
+    Down the columns, one batched _KB product per block of at most _BLOCK
+    output rows and _CHUNK columns; then along the rows, of all the planes at
+    once, one product by _KB.T per block of at most _CHUNK rows and _BLOCK
+    output columns.
+    """
+    _, h, w = stack.shape
+    hv, wv = moments.shape[1:]
+    for r0 in range(0, hv, _BLOCK):
+        m = min(_BLOCK, hv - r0)
         kb = _KB[:m, : m + _SSIM_WINDOW - 1]
-        block = a[r0 : r0 + m + _SSIM_WINDOW - 1]
-        for c0 in range(0, a.shape[1], _CHUNK):
-            np.matmul(kb, block[:, c0 : c0 + _CHUNK], out=out[r0 : r0 + m, c0 : c0 + _CHUNK])
+        block = stack[:, r0 : r0 + m + _SSIM_WINDOW - 1]
+        for c0 in range(0, w, _CHUNK):
+            np.matmul(kb, block[:, :, c0 : c0 + _CHUNK], out=rows[:, r0 : r0 + m, c0 : c0 + _CHUNK])
+    rows, moments = rows.reshape(-1, w), moments.reshape(-1, wv)
+    for c0 in range(0, wv, _BLOCK):
+        m = min(_BLOCK, wv - c0)
+        kbt = _KBT[: m + _SSIM_WINDOW - 1, :m]
+        block = rows[:, c0 : c0 + m + _SSIM_WINDOW - 1]
+        for r0 in range(0, rows.shape[0], _CHUNK):
+            np.matmul(block[r0 : r0 + _CHUNK], kbt, out=moments[r0 : r0 + _CHUNK, c0 : c0 + m])
 
 
 def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
@@ -99,6 +115,11 @@ def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
     finite values (zeros of either sign) is set to 1.0 without filtering:
     each numerator factor then equals its denominator twin, so every
     quotient is 1.0. Bands holding NaN or an infinity are filtered.
+
+    The filter runs as matrix products, which multiply every input sample
+    by the zero taps of a banded matrix too. So a float64 sample above about
+    1.34e154 in magnitude, whose square overflows to infinity, makes the
+    score NaN.
     """
     af, bf = _paired(a, b)
     if af.shape[1] < _SSIM_WINDOW or af.shape[2] < _SSIM_WINDOW:
@@ -110,10 +131,12 @@ def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
     c2 = (_SSIM_K2 * _SSIM_L) ** 2
     _, h, w = af.shape
     hv, wv = h - _SSIM_WINDOW + 1, w - _SSIM_WINDOW + 1  # valid windows
-    stack = np.empty((h, 4, w))
-    rows = np.empty((hv, 4, w))
-    moments = np.empty((hv, 4, wv))
-    x, y, xy, xx_yy = (stack[:, i] for i in range(4))
+    stack = np.empty((4, h, w))
+    rows = np.empty((4, hv, w))
+    moments = np.empty((4, hv, wv))
+    q, mm = np.empty((2, hv, wv))
+    x, y, xy, xx_yy = stack
+    mx, my, sxy, ss = moments
     per_band = np.empty(af.shape[0], dtype=np.float64)
     for k in range(af.shape[0]):
         if _equal_bands(af[k], bf[k]):
@@ -123,25 +146,31 @@ def ssim(a: SpectralCube | np.ndarray, b: SpectralCube | np.ndarray) -> float:
         y[...] = bf[k]
         np.multiply(x, y, out=xy)
         np.add(np.multiply(x, x, out=xx_yy), y * y, out=xx_yy)
-        # Down the columns, then along the rows through transposed views, so
-        # moments[:, i] is moment i's (H - 10, W - 10) map.
-        _filter_rows(stack.reshape(h, -1), rows.reshape(hv, -1))
-        _filter_rows(rows.reshape(-1, w).T, moments.reshape(-1, wv).T)
-        mx, my, exy, exx_yy = (moments[:, i] for i in range(4))
-        mxy = mx * my
-        mm = mx * mx + my * my
+        _filter(stack, rows, moments)
         # Covariance via E[xy] - E[x]E[y]; the denominator needs only the sum
         # of the variances, so x*x + y*y takes one filter pass. When x equals
         # y, doubling is exact, so every factor of the quotient is bitwise
         # equal to its denominator twin and ssim(a, a) == 1.0 exactly.
-        # Swapping x and y swaps the stack's first two maps and keeps the
-        # other two, and gemm sums each output from its own input column in
-        # one order, so every quotient keeps its bits: ssim(a, b) == ssim(b, a).
-        sxy = exy - mxy
-        ss = exx_yy - mm
-        num = (2.0 * mxy + c1) * (2.0 * sxy + c2)
-        den = (mm + c1) * (ss + c2)
-        per_band[k] = np.mean(num / den)
+        # Swapping x and y swaps the stack's first two planes and keeps the
+        # other two, and gemm sums each output from its own input row or
+        # column in one order, so every quotient keeps its bits:
+        # ssim(a, b) == ssim(b, a). The tail works in place, in the moment
+        # planes and two buffers, in the order of
+        #   num = (2 mx my + c1) (2 (E[xy] - mx my) + c2)
+        #   den = (mx mx + my my + c1) (E[xx + yy] - (mx mx + my my) + c2)
+        np.multiply(mx, my, out=q)  # mx my
+        np.multiply(mx, mx, out=mm)
+        np.add(mm, np.multiply(my, my, out=mx), out=mm)  # mx mx + my my; mx is spent
+        np.subtract(sxy, q, out=sxy)
+        np.subtract(ss, mm, out=ss)
+        np.add(np.multiply(q, 2.0, out=q), c1, out=q)
+        np.add(np.multiply(sxy, 2.0, out=sxy), c2, out=sxy)
+        np.multiply(q, sxy, out=q)  # num
+        np.add(mm, c1, out=mm)
+        np.add(ss, c2, out=ss)
+        np.multiply(mm, ss, out=mm)  # den
+        np.divide(q, mm, out=q)
+        per_band[k] = q.sum() / q.size  # np.mean's bits
     return float(np.mean(per_band))
 
 

@@ -184,9 +184,25 @@ def test_ssim_products_stay_on_the_calling_blas_thread():
     # OpenBLAS (0.3.31) runs a gemm on the calling thread while m*n*k is at
     # most 65536 * GEMM_MULTITHREAD_THRESHOLD (4), that is 2**18. Above it a
     # second thread doubles the CPU time for no wall time, and forked workers
-    # would each run two threads.
+    # would each run two threads. Down the columns, _KB (m x k) multiplies
+    # blocks of at most _CHUNK columns (n); along the rows, blocks of at most
+    # _CHUNK rows (m) multiply _KBT (k x n).
     assert metrics._KB.shape == (metrics._BLOCK, metrics._BLOCK + 10)
+    assert metrics._KBT.shape == (metrics._BLOCK + 10, metrics._BLOCK)
     assert metrics._BLOCK * (metrics._BLOCK + 10) * metrics._CHUNK <= 2**18
+    assert metrics._CHUNK * (metrics._BLOCK + 10) * metrics._BLOCK <= 2**18
+
+
+def test_ssim_overflowing_square_scores_nan():
+    # 2e154 squared overflows float64. The filter's products multiply that
+    # infinity by the banded matrices' zero taps, so the score is NaN where
+    # the tap loop, which never multiplies by those zeros, stays finite.
+    rng = np.random.default_rng(73)
+    a, b = rng.uniform(0, 1, (2, 1, 40, 40))
+    a[0, 20, 20] = 2e154
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(ssim(a, b))
+        assert math.isfinite(_cube_ssim(a, b))
 
 
 def test_ssim_below_one_for_distinct_inputs():
@@ -340,6 +356,23 @@ def test_scores_equal_cube_wide_formulas_bitwise(bands, h, w, dtype, kind, seed)
             assert math.isnan(want) or abs(got - want) <= 1e-14
         else:
             assert same_bytes_and_nans(np.float64(got), np.float64(want)), new.__name__
+
+
+def test_ssim_matches_the_tap_loop_across_every_block_and_chunk_boundary():
+    # W = 530 > 512 splits the pass down the columns into two column chunks,
+    # 4 (H - 10) = 560 > 512 splits the pass along the rows into two row
+    # chunks, and neither H - 10 nor W - 10 is a multiple of 16, so each pass
+    # ends in a short block. Band 1 is equal in both inputs, band 2 holds a
+    # NaN; the whole cube, its first two bands and each band are scored.
+    rng = np.random.default_rng(74)
+    a, b = rng.uniform(-0.2, 1.2, (2, 3, 150, 530))
+    b[1] = a[1]
+    a[2, 70, 300] = np.nan
+    for sel in (slice(0, 3), slice(0, 2), *(slice(i, i + 1) for i in range(3))):
+        got, want = ssim(a[sel], b[sel]), _cube_ssim(a[sel], b[sel])
+        assert math.isnan(got) == math.isnan(want), sel
+        assert math.isnan(want) or abs(got - want) <= 1e-14, sel
+    assert ssim(a[:2], b[:2]) == ssim(b[:2], a[:2])
 
 
 # ------------------------------------------------------- dataset reports

@@ -4,7 +4,9 @@
 # Builds the c5 and large-sparse `pairs -> select-hard -> metrics` trees
 # (perfbench workloads, seed 7, at 1 and 2 workers) once with the base
 # commit's code and once with the working tree's, then compares the sha256
-# digest of every file in them but `report.json`. That one is compared field
+# digest of every file in them but `report.json`, and the list of their
+# directories: a directory left behind, even an empty one such as a `pairs`
+# staging directory, is a difference. `report.json` is compared field
 # by field, as README's numeric contract for scores allows: the same keys in
 # the same order, every value exact except each `ssim` and `mean_ssim`, which
 # may move by at most 16 ulps. For every record of the 1-worker trees it
@@ -35,7 +37,8 @@ git archive --prefix=base/ "$base" | tar -x -C "$work"
 
 # digests ROOT OUT: build every tree with ROOT's code under OUT and print
 # one "<workload>.w<n>/<file>": "<sha256>" entry per output file (the parsed
-# report for each report.json) as JSON, plus one
+# report for each report.json) and one "<workload>.w<n>/<dir>/": "dir" entry
+# per directory under the tree as JSON, plus one
 # "<workload>.w1/wb_bilinear/<mosaic>" entry per mosaic and one
 # "<workload>.w1/fvmap/<record>.<ext>" entry per map file of each record.
 digests() {
@@ -60,6 +63,9 @@ for name in ("c5", "large-sparse"):
                             work / "log.txt").ok, f"{name} at {n} workers failed"
         for path, sha in tree_digest(tree).items():
             digests[f"{name}.w{n}/{path}"] = sha
+        # tree_digest hashes files only.
+        for d in sorted(p for p in tree.rglob("*") if p.is_dir()):
+            digests[f"{name}.w{n}/{d.relative_to(tree)}/"] = "dir"
         digests[f"{name}.w{n}/report.json"] = json.loads((tree / "report.json").read_text())
     ds = work / name / "w1" / "ds"
     for rec in read_manifest(ds / "manifest.jsonl"):

@@ -23,15 +23,15 @@ augment-then-remosaic keeps every emitted pair on the canonical pattern.
 Record processing parallelizes under the ``SPECMOSAIC_THREADS`` cap, with
 each record loaded inside its worker; files are written atomically and
 manifests in input order, so outputs are byte-identical for any worker
-count. ``make_pseudo_pairs`` decides every record from the sources'
-sidecars before its workers start, and they only cut and write, so a source
-its checks reject stops the run with no file written.
+count. ``make_pseudo_pairs`` publishes its files only after its last record
+has succeeded, so a failing run leaves its output directory as it found it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import warnings
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -63,6 +63,7 @@ from .fileio import (
     write_cube,
     write_mosaic,
     _atomic_write_bytes,
+    _move_cube,
 )
 from .freqsel import FreqParams, SelectionParams, count_distribution, select_hard
 from .sfa import _check_bands, mosaic
@@ -240,9 +241,11 @@ def make_pseudo_pairs(
     shape-preserving 4 and one warning naming it), its band count must match
     the pattern, and its patch origins are laid out as :func:`patchify`
     would. Sources whose ``{source}_{op}`` stems meet for the ops they emit,
-    equal names included, raise :class:`FormatError`. A run those checks
-    stop writes no file. Workers then only read payloads and write one patch
-    at a time, so a worker holds one source cube, one variant and one patch.
+    equal names included, raise :class:`FormatError`. Workers then only read
+    payloads and write into a staging directory in ``out``, one patch at a
+    time, so a worker holds one source cube, one variant and one patch. Files
+    move into ``out`` in manifest order, and the manifest last, only after
+    every source has succeeded: a failing run leaves ``out`` as it found it.
 
     ``stride`` defaults to the patch height/width when omitted
     (non-overlapping tiling); a non-square patch requires an explicit stride.
@@ -294,14 +297,26 @@ def make_pseudo_pairs(
             for origin, rec in zip(origins, recs):
                 # D4 ops and crops keep band order, so every patch keeps the list.
                 label = crop_aligned(var, origin, pattern.period)
-                write_cube(label, out / rec.cube, pattern=pattern, wavelengths_nm=wavelengths)
-                write_mosaic(mosaic(label, pattern), out / rec.mosaic, pattern=pattern)
+                write_cube(label, stage / rec.cube, pattern=pattern, wavelengths_nm=wavelengths)
+                write_mosaic(mosaic(label, pattern), stage / rec.mosaic, pattern=pattern)
                 del label  # before the next patch is cut
             del var  # before the next variant is made
 
-    map_records(job, plans, what="source")
     records = [r for *_, by_op in plans for recs in by_op.values() for r in recs]
-    write_manifest(records, out / MANIFEST_NAME)
+    created = next((d for d in (*reversed(out.parents), out) if not d.exists()), None)
+    stage = out / f".pairs-{os.urandom(8).hex()}"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        stage.mkdir()
+        map_records(job, plans, what="source")
+        for rec in records:
+            _move_cube(stage / rec.cube, out / rec.cube)
+            _move_cube(stage / rec.mosaic, out / rec.mosaic)
+        stage.rmdir()
+        write_manifest(records, out / MANIFEST_NAME)
+    except BaseException:
+        shutil.rmtree(created or stage, ignore_errors=True)
+        raise
     return records
 
 

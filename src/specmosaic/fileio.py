@@ -184,6 +184,15 @@ def write_cube(
     return stem
 
 
+def _move_cube(src: str | Path, dst: str | Path) -> None:
+    """Rename a cube pair in :func:`write_cube`'s order: cut anywhere, it reads
+    back as a missing sidecar."""
+    src, dst = cube_stem(src), cube_stem(dst)
+    dst.with_name(dst.name + SIDECAR_SUFFIX).unlink(missing_ok=True)
+    for suffix in (PAYLOAD_SUFFIX, SIDECAR_SUFFIX):
+        os.replace(src.with_name(src.name + suffix), dst.with_name(dst.name + suffix))
+
+
 def read_sidecar(path: str | Path) -> CubeSidecar:
     stem = cube_stem(path)
     side_path = stem.with_name(stem.name + SIDECAR_SUFFIX)
@@ -275,7 +284,8 @@ def load_pattern_spec(spec: str) -> SfaPattern:
     if m:
         a, b = int(m.group(1)), int(m.group(2))
         if a != b or a < 1:
-            raise FormatError(f"pattern spec {spec!r} must be square, e.g. 4x4")
+            rule = "be square, e.g. 4x4" if a != b else "have a side of at least 1"
+            raise FormatError(f"pattern spec {spec!r} must {rule}")
         return SfaPattern.row_major(a)
     what = f"pattern spec {spec!r} (neither NxN nor a readable JSON pattern file)"
     with _as_format_error(what):

@@ -1,5 +1,6 @@
 import ctypes
 import gc
+import hashlib
 import json
 import math
 import mmap
@@ -766,6 +767,81 @@ def test_pairs_source_the_plan_rejects_writes_nothing(
                          "-o", tmp_path / "ds")
     assert (code, out, err) == (1, "", f"error: source 0: {error.format(a=src / 'a')}\n")
     assert not (tmp_path / "ds").exists()
+
+
+def _entries(root):
+    """Every entry under ``root`` by relative path: a file's sha256, or
+    "dir" for a directory."""
+    return {
+        str(p.relative_to(root)): "dir" if p.is_dir() else hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+    }
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("out", ["absent", "parents", "previous"])
+@pytest.mark.parametrize("bad", ["a", "b"])
+@pytest.mark.parametrize("kind", ["truncated", "nan"])
+def test_pairs_payload_failure_leaves_the_output_as_it_was(
+    tmp_path, capsys, monkeypatch, threads, out, bad, kind
+):
+    # The plan cannot see a payload fault, so the good source may already be
+    # written when the bad one fails; its files must not reach the output.
+    src = tmp_path / "src"
+    ds = {"absent": tmp_path / "ds", "parents": tmp_path / "x" / "y" / "ds",
+          "previous": tmp_path / "ds"}[out]
+    argv = ("pairs", src, "--pattern", "3x3", "--patch", 12, 12, "-o", ds)
+    if out == "previous":
+        for name in ("a", "b"):
+            _write_const_cube(src / name, np.linspace(0.2, 0.8, 9), h=24, w=24)
+        assert run(capsys, *argv)[0] == 0
+        (ds / "notes.txt").write_text("not written by pairs\n")
+    for name in ("a", "b"):
+        _write_const_cube(src / name, np.linspace(0.1, 0.9, 9), h=24, w=24)
+    payload = src / f"{bad}.bsq"
+    raw = bytearray(payload.read_bytes())
+    if kind == "truncated":
+        payload.write_bytes(raw[:-4])
+        error = f"payload {payload} holds {len(raw) - 4} bytes, expected {len(raw)} for 9x24x24"
+    else:
+        at = (2 * 24 * 24 + 5 * 24 + 7) * 4  # band 2, row 5, col 7
+        raw[at:at + 4] = np.float32(np.nan).tobytes()
+        payload.write_bytes(raw)
+        error = f"{payload}: non_finite: 1 sample(s), first at (2, 5, 7)"
+    before = _entries(tmp_path)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (1, "", f"error: source {'ab'.index(bad)}: {error}\n")
+    assert _entries(tmp_path) == before
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pairs_leaves_only_its_files_and_keeps_others(tmp_path, capsys, monkeypatch, threads):
+    src, ds = tmp_path / "src", tmp_path / "ds"
+    _write_const_cube(src / "a", np.linspace(0.1, 0.9, 9), h=24, w=24)
+    _write_const_cube(src / "b", np.linspace(0.2, 0.8, 9), h=24, w=24)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
+    argv = ("pairs", src, "--pattern", "3x3", "--patch", 12, 12, "-o", ds)
+    assert run(capsys, *argv) == (0, f"8 records -> {ds / 'manifest.jsonl'}\n", "")
+    # No staging directory and no temp file is left: only the manifest and
+    # each record's four files.
+    first = _entries(ds)
+    assert sorted(first) == sorted(["manifest.jsonl"] + [
+        f"{cube_stem(name)}.{ext}" for rec in read_manifest(ds / "manifest.jsonl")
+        for name in (rec.cube, rec.mosaic) for ext in ("bsq", "json")])
+    # A second run over a changed "b" replaces b's payloads, and a file
+    # pairs did not write stays.
+    (ds / "notes.txt").write_text("not written by pairs\n")
+    _write_const_cube(src / "b", np.linspace(0.3, 0.7, 9), h=24, w=24)
+    assert run(capsys, *argv)[0] == 0
+    second = _entries(ds)
+    assert second.pop("notes.txt") == hashlib.sha256(b"not written by pairs\n").hexdigest()
+    assert sorted(second) == sorted(first)
+    changed = sorted(k for k in first if first[k] != second[k])
+    assert changed == sorted(k for k in first if k.startswith("b_") and k.endswith(".bsq"))
+    rec = read_manifest(ds / "manifest.jsonl")[-1]
+    assert read_cube(ds / rec.cube).data[:, 0, 0].tolist() == (
+        np.linspace(0.3, 0.7, 9).astype(np.float32).tolist())
 
 
 _RECORD = {"mosaic": "m.bsq", "cube": "c.bsq", "source": "s", "origin": [0, 0], "aug": "identity"}

@@ -6,10 +6,12 @@ with a row-major or a JSON ``band_at`` pattern, square and non-square
 sources, whole cubes or patches with a drawn stride, ``--augment`` on or
 off, source names built from ``s``, ``_anti``, ``_`` and ``s.v2``, so
 record stems can meet and a stem can hold dots, and in one corpus of four a
-source that ``pairs`` rejects: one band too many, or one row short of the
-patch. Both runs must agree on every exit status, on stdout and stderr, and
-on the sha256 of every file they write. A corpus whose stems meet or that
-holds a rejected source must fail ``pairs`` and write no file at all.
+source that ``pairs`` rejects: one band too many or one row short of the
+patch, which its plan sees, or a payload 4 bytes short or holding one NaN,
+which only a worker sees. Both runs must agree on every exit status, on
+stdout and stderr, and on every entry they leave: the sha256 of each file,
+and each directory. A corpus whose stems meet or that holds a rejected
+source must fail ``pairs`` and leave ``ds`` absent.
 """
 
 import hashlib
@@ -34,7 +36,9 @@ from specmosaic.fileio import read_cube, read_mosaic, write_cube
 def _corpora(draw):
     """A corpus description: the pattern, the sources as (name, height,
     width, seed), the patch and stride flags, ``--augment`` and the rejected
-    source as (index, "bands" or "small"), if any."""
+    source as (index, kind, sample), if any: the kind is "bands", "small",
+    "truncated" or "nan", and a NaN goes at the sample's index modulo the
+    source's size."""
     p = draw(st.integers(1, 4))
     band_at = draw(st.none() | st.permutations(range(p * p)))
     names = draw(st.lists(
@@ -56,8 +60,9 @@ def _corpora(draw):
             stride = draw(sides)
     reject = None
     if draw(st.integers(0, 3)) == 0:
-        kinds = ["bands"] if patch is None else ["bands", "small"]
-        reject = (draw(st.integers(0, len(sources) - 1)), draw(st.sampled_from(kinds)))
+        kinds = ["bands", "truncated", "nan"] + ([] if patch is None else ["small"])
+        reject = (draw(st.integers(0, len(sources) - 1)), draw(st.sampled_from(kinds)),
+                  draw(st.integers(0, 2**16)))
     return {"period": p, "band_at": band_at, "sources": sources, "patch": patch,
             "stride": stride, "augment": draw(st.booleans()), "reject": reject}
 
@@ -75,8 +80,8 @@ def _emitted_prefixes(corpus) -> list[set[str]]:
 
 def _pipeline(root, src, pattern_arg, corpus, threads: str):
     """Run the three stages into ``root``; returns each stage's (exit status,
-    stdout, stderr), stopping after the first failure, and the sha256 of
-    every file written."""
+    stdout, stderr), stopping after the first failure, and every entry left
+    under ``root``: a file's sha256, or "dir" for a directory."""
     ds = root / "ds"
     pairs = ["pairs", src, "--pattern", pattern_arg, "-o", ds]
     if corpus["augment"]:
@@ -101,8 +106,8 @@ def _pipeline(root, src, pattern_arg, corpus, threads: str):
             if code:
                 break
     digests = {
-        str(f.relative_to(root)): hashlib.sha256(f.read_bytes()).hexdigest()
-        for f in sorted(root.rglob("*")) if f.is_file()
+        str(f.relative_to(root)): "dir" if f.is_dir() else hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(root.rglob("*"))
     }
     return results, digests
 
@@ -122,19 +127,29 @@ _PAIR = [("a", 12, 12, 9), ("b", 12, 12, 10)]
 @example(corpus={"period": 2, "band_at": None, "sources": _DOTTED,
                  "patch": (4, 4), "stride": None, "augment": False})
 @example(corpus={"period": 3, "band_at": None, "sources": _PAIR,
-                 "patch": (6, 6), "stride": None, "augment": False, "reject": (0, "bands")})
+                 "patch": (6, 6), "stride": None, "augment": False, "reject": (0, "bands", 0)})
 @example(corpus={"period": 3, "band_at": None, "sources": _PAIR,
-                 "patch": (6, 6), "stride": None, "augment": True, "reject": (0, "small")})
+                 "patch": (6, 6), "stride": None, "augment": True, "reject": (0, "small", 0)})
+@example(corpus={"period": 3, "band_at": None, "sources": _PAIR,
+                 "patch": (6, 6), "stride": None, "augment": False, "reject": (0, "truncated", 0)})
+@example(corpus={"period": 2, "band_at": None, "sources": _PAIR,
+                 "patch": None, "stride": None, "augment": True, "reject": (1, "nan", 577)})
 def test_pipeline_is_the_same_at_one_and_two_workers(tmp_path_factory, corpus):
     base = tmp_path_factory.mktemp("pipe")
     src, p = base / "src", corpus["period"]
     reject = corpus.get("reject")
+    bad, kind, sample = reject or (None, None, None)
     for i, (name, h, w, seed) in enumerate(corpus["sources"]):
-        bands = p * p + (reject == (i, "bands"))
-        if reject == (i, "small"):
+        bands = p * p + (i == bad and kind == "bands")
+        if i == bad and kind == "small":
             h = corpus["patch"][0] - 1
-        rng = np.random.default_rng(seed)
-        write_cube(SpectralCube(rng.uniform(0, 1, (bands, h, w)).astype(np.float32)), src / name)
+        data = np.random.default_rng(seed).uniform(0, 1, (bands, h, w)).astype(np.float32)
+        if i == bad and kind == "nan":
+            data.flat[sample % data.size] = np.nan
+        write_cube(SpectralCube(data), src / name)
+        if i == bad and kind == "truncated":
+            payload = src / f"{name}.bsq"
+            payload.write_bytes(payload.read_bytes()[:-4])
     if corpus["band_at"] is None:
         pattern, pattern_arg = SfaPattern.row_major(p), f"{p}x{p}"
     else:
@@ -151,13 +166,21 @@ def test_pipeline_is_the_same_at_one_and_two_workers(tmp_path_factory, corpus):
     prefixes = _emitted_prefixes(corpus)
     collide = any(a & b for i, a in enumerate(prefixes) for b in prefixes[:i])
     assert one[0][0][0] == (1 if collide or reject else 0), one[0]
-    if reject:
-        i, kind = reject
+    # The plan checks every source before the stems meet, and the stems
+    # before any payload is read.
+    if reject and (kind in ("bands", "small") or not collide):
+        name, h, w, _ = corpus["sources"][bad]
         if kind == "bands":
             error = f"has {p * p + 1} bands but pattern period {p} requires {p * p}"
-        else:
+        elif kind == "small":
             ph, pw = corpus["patch"]
-            error = f"patch {ph}x{pw} exceeds cube extent {ph - 1}x{corpus['sources'][i][2]}"
+            error = f"patch {ph}x{pw} exceeds cube extent {ph - 1}x{w}"
+        elif kind == "truncated":
+            n = p * p * h * w * 4
+            error = f"payload {src / name}.bsq holds {n - 4} bytes, expected {n} for {p * p}x{h}x{w}"
+        else:
+            at = tuple(int(x) for x in np.unravel_index(sample % (p * p * h * w), (p * p, h, w)))
+            error = f"{src / name}.bsq: non_finite: 1 sample(s), first at {at}"
         assert one[0][0][2].endswith(f"{error}\n"), one[0]
     if collide or reject:
         assert one[1] == {}

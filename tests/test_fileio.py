@@ -317,10 +317,12 @@ def test_pattern_spec_inline():
 
 
 def test_pattern_spec_rejects_bad_strings(tmp_path):
-    with pytest.raises(FormatError):
-        load_pattern_spec("2x3")
-    with pytest.raises(FormatError):
-        load_pattern_spec("0x0")
+    # 0x0 is square; the rule it breaks is the side of at least 1.
+    for spec, rule in (("2x3", "be square, e.g. 4x4"), ("0x0", "have a side of at least 1"),
+                       ("00x00", "have a side of at least 1")):
+        with pytest.raises(FormatError) as e:
+            load_pattern_spec(spec)
+        assert str(e.value) == f"pattern spec {spec!r} must {rule}"
     with pytest.raises(FormatError, match="neither"):
         load_pattern_spec(str(tmp_path / "missing.json"))
 

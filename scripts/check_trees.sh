@@ -6,7 +6,9 @@
 # commit's code and once with the working tree's, then compares the sha256
 # digest of every file in them but `report.json`, and the list of their
 # directories: a directory left behind, even an empty one such as a `pairs`
-# staging directory, is a difference. `report.json` is compared field
+# staging directory, is a difference. So are the `warning:` and `error:`
+# lines the stages print, such as `select-hard`'s keep-all warning; stdout
+# is left out, as it names the work directory. `report.json` is compared field
 # by field, as README's numeric contract for scores allows: the same keys in
 # the same order, every value exact except each `ssim` and `mean_ssim`, which
 # may move by at most 16 ulps. For every record of the 1-worker trees it
@@ -37,8 +39,10 @@ git archive --prefix=base/ "$base" | tar -x -C "$work"
 
 # digests ROOT OUT: build every tree with ROOT's code under OUT and print
 # one "<workload>.w<n>/<file>": "<sha256>" entry per output file (the parsed
-# report for each report.json) and one "<workload>.w<n>/<dir>/": "dir" entry
-# per directory under the tree as JSON, plus one
+# report for each report.json), one "<workload>.w<n>/<dir>/": "dir" entry
+# per directory under the tree and one "<workload>.w<n>/messages" entry, the
+# list of `warning:` and `error:` lines its three stages printed, as JSON,
+# plus one
 # "<workload>.w1/wb_bilinear/<mosaic>" entry per mosaic and one
 # "<workload>.w1/fvmap/<record>.<ext>" entry per map file of each record.
 digests() {
@@ -58,9 +62,14 @@ digests = {}
 for name in ("c5", "large-sparse"):
     generate(WORKLOADS[name], 7, work / name / "src")
     for n in (1, 2):
-        tree = work / name / f"w{n}"
+        tree, log = work / name / f"w{n}", work / "log.txt"
+        start = log.stat().st_size if log.exists() else 0
         assert run_pipeline(WORKLOADS[name], work / name / "src", tree, 0, n,
-                            work / "log.txt").ok, f"{name} at {n} workers failed"
+                            log).ok, f"{name} at {n} workers failed"
+        # Stdout lines name the work directory, so only the stages' messages.
+        lines = log.read_bytes()[start:].decode().replace(str(work), "<work>").splitlines()
+        digests[f"{name}.w{n}/messages"] = [
+            ln for ln in lines if ln.startswith(("warning:", "error:"))]
         for path, sha in tree_digest(tree).items():
             digests[f"{name}.w{n}/{path}"] = sha
         # tree_digest hashes files only.

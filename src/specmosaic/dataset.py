@@ -33,6 +33,7 @@ import json
 import os
 import shutil
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -63,9 +64,11 @@ from .fileio import (
     write_cube,
     write_mosaic,
     _atomic_write_bytes,
+    _cube_files,
     _move_cube,
+    _naming,
 )
-from .freqsel import FreqParams, SelectionParams, count_distribution, select_hard
+from .freqsel import FreqParams, SelectionParams, select_hard
 from .sfa import _check_bands, mosaic
 
 __all__ = [
@@ -216,6 +219,20 @@ def _patch_stem(prefix: str, origin: PatchOrigin) -> str:
     return f"{prefix}_r{origin.row:05d}_c{origin.col:05d}"
 
 
+@contextmanager
+def _unstaged(stage: Path, out: Path):
+    """Re-raise an OSError naming a file in ``stage`` as one naming its place
+    in ``out``: the stage's name is random, so the message would differ from
+    run to run."""
+    try:
+        yield
+    except OSError as e:
+        name = str(e.filename)
+        if not name.startswith(str(stage)):
+            raise
+        raise _naming(e, str(out) + name[len(str(stage)):]) from None
+
+
 def make_pseudo_pairs(
     cube_paths: Sequence[str | Path],
     pattern: SfaPattern,
@@ -240,12 +257,17 @@ def make_pseudo_pairs(
     ``augment``, all of D4_OPS for a square source, else the
     shape-preserving 4 and one warning naming it), its band count must match
     the pattern, and its patch origins are laid out as :func:`patchify`
-    would. Sources whose ``{source}_{op}`` stems meet for the ops they emit,
-    equal names included, raise :class:`FormatError`. Workers then only read
+    would. Then each file the run will write, every record's payloads and
+    sidecars and the manifest, is checked once: a file two records name
+    (sources of equal names, or ``s`` with ``anti_transpose`` and ``s_anti``
+    with ``transpose``) or a directory standing at one raises
+    :class:`FormatError` before anything is written. Workers then only read
     payloads and write into a staging directory in ``out``, one patch at a
     time, so a worker holds one source cube, one variant and one patch. Files
     move into ``out`` in manifest order, and the manifest last, only after
     every source has succeeded: a failing run leaves ``out`` as it found it.
+    A failed write or move names its file in ``out``, not in the staging
+    directory.
 
     ``stride`` defaults to the patch height/width when omitted
     (non-overlapping tiling); a non-square patch requires an explicit stride.
@@ -277,42 +299,44 @@ def make_pseudo_pairs(
     # In the parent and in source order, so warnings and errors come out the
     # same for any worker count.
     plans = [_named(plan, "source", item) for item in enumerate(map(cube_stem, cube_paths))]
-    # Record stems start "{source}_{op}", so equal names meet, and so do
-    # "s" + "anti_transpose" and "s_anti" + "transpose".
-    writer: dict[str, int] = {}
+    created = next((d for d in (*reversed(out.parents), out) if not d.exists()), None)
+    # Every file the run writes, by its source's index (-1: the manifest). A
+    # directory at one would fail os.replace; a symlink to one is replaced.
+    writer: dict[Path, int] = {out / MANIFEST_NAME: -1}
     for i, (source, _, _, by_op) in enumerate(plans):
-        for op in by_op:
-            j = writer.setdefault(f"{source.name}_{op}", i)
-            if j != i:
-                raise FormatError(
-                    f"sources {plans[j][0]} and {source} both write records named "
-                    f"{source.name}_{op}_*"
-                )
+        for rec in (r for recs in by_op.values() for r in recs):
+            for path in (*_cube_files(out / rec.cube), *_cube_files(out / rec.mosaic)):
+                if (j := writer.setdefault(path, i)) != i:
+                    raise FormatError(f"sources {plans[j][0]} and {source} both write {path}")
+    for path in () if created else writer:  # nothing stands in an out made here
+        if path.is_dir() and not path.is_symlink():
+            raise FormatError(f"{path} is a directory")
 
     def job(item: Plan) -> None:
         path, wavelengths, origins, by_op = item
         cube = read_cube(path)
-        for op, recs in by_op.items():
-            var = transform_d4(cube, op)
-            for origin, rec in zip(origins, recs):
-                # D4 ops and crops keep band order, so every patch keeps the list.
-                label = crop_aligned(var, origin, pattern.period)
-                write_cube(label, stage / rec.cube, pattern=pattern, wavelengths_nm=wavelengths)
-                write_mosaic(mosaic(label, pattern), stage / rec.mosaic, pattern=pattern)
-                del label  # before the next patch is cut
-            del var  # before the next variant is made
+        with _unstaged(stage, out):
+            for op, recs in by_op.items():
+                var = transform_d4(cube, op)
+                for origin, rec in zip(origins, recs):
+                    # D4 ops and crops keep band order, so every patch keeps the list.
+                    label = crop_aligned(var, origin, pattern.period)
+                    write_cube(label, stage / rec.cube, pattern=pattern, wavelengths_nm=wavelengths)
+                    write_mosaic(mosaic(label, pattern), stage / rec.mosaic, pattern=pattern)
+                    del label  # before the next patch is cut
+                del var  # before the next variant is made
 
     records = [r for *_, by_op in plans for recs in by_op.values() for r in recs]
-    created = next((d for d in (*reversed(out.parents), out) if not d.exists()), None)
     stage = out / f".pairs-{os.urandom(8).hex()}"
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        stage.mkdir()
-        map_records(job, plans, what="source")
-        for rec in records:
-            _move_cube(stage / rec.cube, out / rec.cube)
-            _move_cube(stage / rec.mosaic, out / rec.mosaic)
-        stage.rmdir()
+        with _unstaged(stage, out):
+            out.mkdir(parents=True, exist_ok=True)
+            stage.mkdir()
+            map_records(job, plans, what="source")
+            for rec in records:
+                _move_cube(stage / rec.cube, out / rec.cube)
+                _move_cube(stage / rec.mosaic, out / rec.mosaic)
+            stage.rmdir()
         write_manifest(records, out / MANIFEST_NAME)
     except BaseException:
         shutil.rmtree(created or stage, ignore_errors=True)
@@ -376,11 +400,13 @@ def filter_hard(
     _atomic_write_bytes(Path(str(out_path) + ".verdicts.json"), doc.encode("utf-8"))
     if verdicts and len(kept) in (0, len(verdicts)):
         # Keeping none or all says the thresholds do not separate this corpus.
-        d = count_distribution([v.count for v in verdicts])
+        # Below 2**53 this median of integers is exact, so it equals
+        # count_distribution's p50 without np.percentile's import of numpy.ma.
+        s, n = sorted(v.count for v in verdicts), len(verdicts)
         warnings.warn(
-            f"kept {len(kept)} of {len(verdicts)} records "
-            f"({len(kept) / len(verdicts):.0%}); counts min {d['min']:.12g}, "
-            f"p50 {d['p50']:.12g}, max {d['max']:.12g} against t_cnt {sparams.t_cnt}",
+            f"kept {len(kept)} of {n} records ({len(kept) / n:.0%}); counts min {s[0]:.12g}, "
+            f"p50 {(s[(n - 1) // 2] + s[n // 2]) / 2:.12g}, max {s[-1]:.12g} "
+            f"against t_cnt {sparams.t_cnt}",
             RuntimeWarning,
         )
     return kept

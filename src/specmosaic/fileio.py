@@ -13,7 +13,8 @@ be exported as an 8-bit PGM preview normalized by the map maximum.
 All writes go through a temp-file-then-rename so readers never observe a
 partially written artifact. Each write uses its own randomly named temp file
 in the target's directory, so concurrent writers of one path cannot collide,
-and a failed write removes its temp file before the error propagates. A
+and a failed write removes its temp file and raises its OSError naming only
+the target, so the message does not change from run to run. A
 cube's write first removes any old sidecar, then writes the payload, then the
 new sidecar: a write cut anywhere between, over a fresh or an existing cube,
 reads back as a missing sidecar (:class:`FormatError`), never as a payload
@@ -83,14 +84,23 @@ def _atomic_write_bytes(path: Path, data: bytes | memoryview) -> None:
     # and exclusive creation never opens another writer's temp file. open()
     # creates it with mode 0o666 & ~umask, like any other new file.
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    f = open(tmp, "xb")
     try:
-        with f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        f = open(tmp, "xb")
+        try:
+            with f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as e:  # the temp file's random name would differ on every run
+        raise _naming(e, path) from None
+
+
+def _naming(e: OSError, path: str | Path) -> OSError:
+    """``e`` as the same OSError subclass, naming only ``path``; ``e`` itself
+    if it carries no errno."""
+    return e if e.errno is None else type(e)(e.errno, e.strerror, str(path))
 
 
 @dataclass(frozen=True)
@@ -164,7 +174,7 @@ def write_cube(
     """Write ``<stem>.bsq`` + ``<stem>.json``; returns the stem path. Metadata
     that :func:`read_sidecar` would reject raises before any file is touched."""
     stem = cube_stem(path)
-    side_path = stem.with_name(stem.name + SIDECAR_SUFFIX)
+    payload_path, side_path = _cube_files(path)
     sidecar = CubeSidecar(
         height=cube.height,
         width=cube.width,
@@ -178,24 +188,29 @@ def write_cube(
     # An old sidecar must not outlive its payload: a write cut after the
     # payload then reads back as a missing sidecar, not a stale one.
     side_path.unlink(missing_ok=True)
-    _atomic_write_bytes(stem.with_name(stem.name + PAYLOAD_SUFFIX), payload)
+    _atomic_write_bytes(payload_path, payload)
     doc = json.dumps(sidecar.to_dict(), indent=2) + "\n"
     _atomic_write_bytes(side_path, doc.encode("utf-8"))
     return stem
 
 
+def _cube_files(path: str | Path) -> tuple[Path, Path]:
+    """The payload and the sidecar of the cube pair ``path`` names."""
+    stem = cube_stem(path)
+    return stem.with_name(stem.name + PAYLOAD_SUFFIX), stem.with_name(stem.name + SIDECAR_SUFFIX)
+
+
 def _move_cube(src: str | Path, dst: str | Path) -> None:
     """Rename a cube pair in :func:`write_cube`'s order: cut anywhere, it reads
     back as a missing sidecar."""
-    src, dst = cube_stem(src), cube_stem(dst)
-    dst.with_name(dst.name + SIDECAR_SUFFIX).unlink(missing_ok=True)
-    for suffix in (PAYLOAD_SUFFIX, SIDECAR_SUFFIX):
-        os.replace(src.with_name(src.name + suffix), dst.with_name(dst.name + suffix))
+    dst_files = _cube_files(dst)
+    dst_files[1].unlink(missing_ok=True)
+    for a, b in zip(_cube_files(src), dst_files):
+        os.replace(a, b)
 
 
 def read_sidecar(path: str | Path) -> CubeSidecar:
-    stem = cube_stem(path)
-    side_path = stem.with_name(stem.name + SIDECAR_SUFFIX)
+    side_path = _cube_files(path)[1]
     what = f"sidecar {side_path}"
     with _as_format_error(what):
         doc = json.loads(side_path.read_text(encoding="utf-8"))
@@ -213,7 +228,7 @@ def read_cube(path: str | Path) -> SpectralCube:
     """
     stem = cube_stem(path)
     side = read_sidecar(stem)
-    payload_path = stem.with_name(stem.name + PAYLOAD_SUFFIX)
+    payload_path = _cube_files(path)[0]
     with _as_format_error(f"payload {payload_path}"):
         raw = payload_path.read_bytes()
     expected = side.height * side.width * side.bands * 4

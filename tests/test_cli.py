@@ -1,4 +1,5 @@
 import ctypes
+import errno
 import gc
 import hashlib
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from specmosaic import SfaPattern, SpectralCube, mosaic as sfa_mosaic, wb_bilinear
+import specmosaic.fileio
 from specmosaic import cli
 from specmosaic.cli import cli_dispatch
 from specmosaic.dataset import read_manifest
@@ -732,8 +734,8 @@ def test_pairs_rejects_sources_whose_record_names_collide(tmp_path, capsys):
                        "-o", tmp_path / "aug")
     assert code == 1
     assert err == (
-        f"error: sources {src / 's'} and {src / 's_anti'} both write records "
-        "named s_anti_transpose_*\n"
+        f"error: sources {src / 's'} and {src / 's_anti'} both write "
+        f"{tmp_path / 'aug' / 's_anti_transpose_r00000_c00000_cube.bsq'}\n"
     )
     assert not (tmp_path / "aug").exists()
     code, _, err = run(capsys, "pairs", src, "--pattern", "2x2", "-o", tmp_path / "ds")
@@ -842,6 +844,102 @@ def test_pairs_leaves_only_its_files_and_keeps_others(tmp_path, capsys, monkeypa
     rec = read_manifest(ds / "manifest.jsonl")[-1]
     assert read_cube(ds / rec.cube).data[:, 0, 0].tolist() == (
         np.linspace(0.3, 0.7, 9).astype(np.float32).tolist())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", [
+    "b_identity_r00000_c00000_mosaic.bsq", "b_identity_r00000_c00000_cube.json", "manifest.jsonl",
+])
+def test_pairs_stops_at_a_directory_where_a_file_goes(tmp_path, capsys, monkeypatch, threads, name):
+    # Every destination is checked before anything is written, so a's files
+    # do not land before b's (or the manifest's) move fails.
+    src, ds = tmp_path / "src", tmp_path / "ds"
+    for source in ("a", "b"):
+        _write_const_cube(src / source, np.linspace(0.1, 0.9, 4), h=8, w=8)
+    (ds / name).mkdir(parents=True)
+    (ds / name / "kept.txt").write_text("not written by pairs\n")
+    before = _entries(tmp_path)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
+    code, out, err = run(capsys, "pairs", src, "--pattern", "2x2", "-o", ds)
+    assert (code, out, err) == (1, "", f"error: {ds / name} is a directory\n")
+    assert _entries(tmp_path) == before
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pairs_replaces_a_symlink_to_a_directory(tmp_path, capsys, monkeypatch, threads):
+    # os.replace replaces the link itself, so a link is no directory in the way.
+    src, ds, elsewhere = tmp_path / "src", tmp_path / "ds", tmp_path / "elsewhere"
+    _write_const_cube(src / "a", np.linspace(0.1, 0.9, 4), h=8, w=8)
+    elsewhere.mkdir()
+    ds.mkdir()
+    link = ds / "a_identity_r00000_c00000_cube.bsq"
+    link.symlink_to(elsewhere, target_is_directory=True)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
+    assert run(capsys, "pairs", src, "--pattern", "2x2", "-o", ds)[0] == 0
+    assert not link.is_symlink() and link.is_file()
+    assert list(elsewhere.iterdir()) == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pairs_names_a_failed_write_by_its_place_in_the_output(
+    tmp_path, capsys, monkeypatch, threads
+):
+    # The staging directory and each temp file have random names; the
+    # message names the file where it would have been published.
+    src, ds = tmp_path / "src", tmp_path / "ds"
+    for source in ("a", "b"):
+        _write_const_cube(src / source, np.linspace(0.1, 0.9, 4), h=8, w=8)
+    real_open = open
+
+    def full_disk(file, *args, **kwargs):
+        if os.path.basename(file).startswith("b_identity_r00000_c00000_cube.bsq."):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(specmosaic.fileio, "open", full_disk, raising=False)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
+    code, out, err = run(capsys, "pairs", src, "--pattern", "2x2", "-o", ds)
+    want = ds / "b_identity_r00000_c00000_cube.bsq"
+    assert (code, out) == (1, "")
+    assert err == f"error: source 1: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{want}'\n"
+    assert not ds.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["select-hard", "metrics"])
+def test_output_naming_a_directory_fails_alike_on_every_run(
+    tmp_path, capsys, monkeypatch, command, threads
+):
+    # The write's temp file has a random name; the error names only -o.
+    src, ds, out = tmp_path / "src", tmp_path / "ds", tmp_path / "out"
+    _write_const_cube(src / "a", [0.3, 0.5, 0.6, 0.8], sine_band=1)
+    assert run(capsys, "pairs", src, "--pattern", "2x2", "-o", ds)[0] == 0
+    (out / "x").mkdir(parents=True)
+    monkeypatch.setenv("SPECMOSAIC_THREADS", threads)
+    want = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out}'\n"
+    for _ in range(2):
+        code, _, err = run(capsys, command, ds / "manifest.jsonl", "-o", out)
+        assert (code, err) == (1, want)
+    assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+    assert [p.name for p in out.iterdir()] == ["x"]
+
+
+def test_keep_all_selection_leaves_numpy_ma_unimported(tmp_path, capsys):
+    # The keep-none-or-all warning takes its median from sorted integers,
+    # not np.percentile, which imports numpy.ma (about 15 ms a process).
+    src, ds = tmp_path / "src", tmp_path / "ds"
+    for i in range(3):
+        _write_const_cube(src / f"c{i}", [0.3, 0.5, 0.6, 0.8], h=128, w=128, sine_band=1)
+    assert run(capsys, "pairs", src, "--pattern", "2x2", "-o", ds)[0] == 0
+    proc = _run_python("-c", (
+        "import sys\n"
+        "from specmosaic.cli import cli_dispatch\n"
+        f"code = cli_dispatch(['select-hard', {str(ds / 'manifest.jsonl')!r}, "
+        f"'-o', {str(tmp_path / 'hard.jsonl')!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    ))
+    assert proc.stderr.startswith("warning: kept 3 of 3 records (100%)"), proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 _RECORD = {"mosaic": "m.bsq", "cube": "c.bsq", "source": "s", "origin": [0, 0], "aug": "identity"}

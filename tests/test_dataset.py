@@ -32,6 +32,7 @@ from specmosaic.dataset import (
     write_manifest,
 )
 from specmosaic.fileio import read_cube, read_mosaic, read_sidecar, write_cube
+from specmosaic.freqsel import PatchVerdict, count_distribution
 
 
 def _rand_cube(rng, bands, h, w):
@@ -387,7 +388,7 @@ def test_pairs_equal_source_names_collide(tmp_path):
     a = write_cube(_rand_cube(rng, 4, 8, 8), tmp_path / "one" / "same")
     b = write_cube(_rand_cube(rng, 4, 8, 8), tmp_path / "two" / "same")
     want = (f"sources {tmp_path / 'one' / 'same'} and {tmp_path / 'two' / 'same'} "
-            "both write records named same_identity_*")
+            f"both write {tmp_path / 'ds' / 'same_identity_r00000_c00000_cube.bsq'}")
     with pytest.raises(FormatError) as info:
         make_pseudo_pairs([a, b], SfaPattern.row_major(2), tmp_path / "ds")
     assert str(info.value) == want
@@ -420,6 +421,31 @@ def _constant_sources(tmp_path, rng, n, bands=4, h=128, w=128, sine_at=None):
         cube = SpectralCube(data.astype(np.float32))
         paths.append(write_cube(cube, tmp_path / "in" / f"c{i:02d}"))
     return paths
+
+
+@pytest.mark.parametrize("counts, hard", [
+    ([7], True),
+    ([9, 3], False),
+    ([5, 1, 5], True),
+    ([8, 2, 2, 8], True),
+    ([10**12, 3 * 10**12 + 1, 2**52, 7], True),
+    ([2**52 - 1, 2**52 - 4, 10**15 + 3], False),
+], ids=["one", "even", "odd-ties", "even-ties", "large-even", "large-odd"])
+def test_keep_none_or_all_warning_reads_as_count_distribution(tmp_path, monkeypatch, counts, hard):
+    # The warning's min, p50 and max are printed as count_distribution's.
+    recs = [PairRecord(f"m{i}.bsq", f"c{i}.bsq", "s", (0, 0), "identity")
+            for i in range(len(counts))]
+    write_manifest(recs, tmp_path / "ds.jsonl")
+    monkeypatch.setattr(dataset, "select_hard",
+                        lambda loaders, *_: [PatchVerdict(c, hard) for c in counts])
+    d = count_distribution(counts)
+    n, kept = len(counts), len(counts) if hard else 0
+    with pytest.warns(RuntimeWarning) as caught:
+        filter_hard(tmp_path / "ds.jsonl", out_path=tmp_path / "hard.jsonl")
+    assert [str(w.message) for w in caught] == [
+        f"kept {kept} of {n} records ({kept / n:.0%}); counts min {d['min']:.12g}, "
+        f"p50 {d['p50']:.12g}, max {d['max']:.12g} against t_cnt 5"
+    ]
 
 
 def test_filter_hard_constant_manifest_selects_nothing(tmp_path):
